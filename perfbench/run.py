@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload covered_sql --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload covered_sql --seed 1 --seconds 20 --trace 0
 
 Configures and builds perfbench/ (the mdw library from src/ plus the
 sql_bench program) into .bench_build/, then runs sql_bench and relays its

@@ -6,9 +6,10 @@
 // library and prints per-layer metrics (--trace 1). The last line of
 // stdout is the result JSON. Run it through run.py, which builds it.
 //
-//   sql_bench --workload covered_sql --seed 1 --seconds 10 --trace 0
+//   sql_bench --workload covered_sql --seed 1 --seconds 20 --trace 0
 //             [--store-dir DIR] [--trace-out FILE] [--commit ID]
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -45,13 +46,15 @@ namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 /// Warehouse constructions per run; setup_s is their median.
-constexpr int kSetupRepeats = 4;
+constexpr int kSetupRepeats = 3;
 /// Distinct statements per shape checked against the oracles.
 constexpr int kOracleSamplesPerShapeRam = 4;
 constexpr int kOracleSamplesPerShapePaged = 2;
 /// Untimed run of the stream before measuring, so the plan cache and the
 /// buffer pool reach their steady state.
 constexpr double kWarmupSeconds = 0.25;
+/// Length of one window of a measured loop (see RunLoop).
+constexpr double kWindowSeconds = 0.25;
 /// Statements the traced phase keeps spans for (bounds its memory).
 constexpr std::size_t kMaxTracedStatements = 100000;
 
@@ -339,6 +342,7 @@ Reference BuildReference(const mdw::Warehouse& wh, const WorkloadSpec& spec,
 
 struct LoopResult {
   std::vector<std::uint32_t> latency_ns;  ///< one per statement
+  std::vector<std::size_t> window_ends;   ///< end of each window in latency_ns
   double busy_seconds = 0;                ///< summed latency
   std::int64_t failed = 0;
   std::int64_t attempted() const {
@@ -351,32 +355,91 @@ mdw::storage::PoolStats PoolStatsOf(const mdw::Warehouse& wh) {
   return store == nullptr ? mdw::storage::PoolStats{} : store->pool().stats();
 }
 
+/// The CPUs this process may run on.
+std::vector<int> AllowedCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+    }
+  }
+  return cpus;
+}
+
+/// Restricts the calling thread to `cpus`.
+void RunOn(const std::vector<int>& cpus) {
+  if (cpus.empty()) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (const int cpu : cpus) CPU_SET(cpu, &set);
+  sched_setaffinity(0, sizeof set, &set);
+}
+
+/// Moves the calling thread round the allowed CPUs, one per Next(), and
+/// back onto all of them when destroyed.
+///
+/// On a shared host a vCPU runs up to ~40% slower for seconds at a time
+/// while another tenant loads its core. A client left on one vCPU
+/// inherits that vCPU's phases for a whole run; one that moves every
+/// kWindowSeconds samples all of them. Threads created while the client
+/// is pinned inherit its one CPU, and the library creates its worker
+/// pool on its first statement, so a construction's first loop must not
+/// rotate.
+class CpuRotation {
+ public:
+  explicit CpuRotation(bool enabled)
+      : cpus_(enabled ? AllowedCpus() : std::vector<int>{}) {}
+  CpuRotation(const CpuRotation&) = delete;
+  CpuRotation& operator=(const CpuRotation&) = delete;
+  ~CpuRotation() { RunOn(cpus_); }
+
+  void Next() {
+    if (!cpus_.empty()) RunOn({cpus_[next_++ % cpus_.size()]});
+  }
+
+ private:
+  std::vector<int> cpus_;
+  std::size_t next_ = 0;
+};
+
 /// One client, closed loop: sends the stream's next statement only after
 /// the previous one returned, for `seconds`. Only the ExecuteSql call is
-/// timed; checking its answer happens outside the timer.
+/// timed; checking its answer happens outside the timer. The loop runs in
+/// windows of kWindowSeconds, with the client on the next CPU in each
+/// window if `rotate` (see CpuRotation).
 LoopResult RunLoop(const mdw::Warehouse& wh, const StatementSet& set,
                    const Reference& ref, std::size_t* cursor,
-                   double seconds) {
+                   double seconds, bool rotate) {
+  CpuRotation rotation(rotate);
   LoopResult result;
   result.latency_ns.reserve(1 << 20);
   std::int64_t busy_ns = 0;
   const auto start = Clock::now();
   const auto stop = start + std::chrono::duration_cast<Clock::duration>(
                                 std::chrono::duration<double>(seconds));
+  const auto window_length = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(kWindowSeconds));
   for (auto now = start; now < stop;) {
-    const std::uint32_t id = set.stream[*cursor % set.stream.size()];
-    ++*cursor;
-    const auto t0 = Clock::now();
-    const auto outcome = wh.ExecuteSql(set.sql[id]);
-    now = Clock::now();
-    const std::int64_t ns = Nanos(now - t0);
-    busy_ns += ns;
-    result.latency_ns.push_back(static_cast<std::uint32_t>(
-        std::min<std::int64_t>(ns, UINT32_MAX)));
-    if (!outcome.ok() || !outcome->status.ok() || !outcome->table ||
-        !(*outcome->table == ref.tables[id])) {
-      ++result.failed;
+    rotation.Next();
+    const auto window_stop = std::min(stop, now + window_length);
+    while (now < window_stop) {
+      const std::uint32_t id = set.stream[*cursor % set.stream.size()];
+      ++*cursor;
+      const auto t0 = Clock::now();
+      const auto outcome = wh.ExecuteSql(set.sql[id]);
+      now = Clock::now();
+      const std::int64_t ns = Nanos(now - t0);
+      busy_ns += ns;
+      result.latency_ns.push_back(static_cast<std::uint32_t>(
+          std::min<std::int64_t>(ns, UINT32_MAX)));
+      if (!outcome.ok() || !outcome->status.ok() || !outcome->table ||
+          !(*outcome->table == ref.tables[id])) {
+        ++result.failed;
+      }
     }
+    result.window_ends.push_back(result.latency_ns.size());
   }
   result.busy_seconds = static_cast<double>(busy_ns) * 1e-9;
   return result;
@@ -389,10 +452,26 @@ struct Figures {
   double p99_us = 0;
 };
 
+/// Median latency in us: the median of each window of the loop, averaged
+/// over the windows with each weighted by its statements. A slow phase of
+/// the host (see RunLoop) then moves it in proportion to the share of the
+/// run it covered; the median of all latencies at once jumps between the
+/// host's fast and slow levels once that share nears a half.
+double WindowedP50Us(const LoopResult& loop) {
+  double weighted = 0;
+  std::size_t begin = 0;
+  for (const std::size_t end : loop.window_ends) {
+    const std::vector<std::uint32_t> window(loop.latency_ns.begin() + begin,
+                                            loop.latency_ns.begin() + end);
+    weighted += Percentile(window, 0.5) * static_cast<double>(end - begin);
+    begin = end;
+  }
+  return Ratio(weighted, static_cast<double>(loop.latency_ns.size())) / 1e3;
+}
+
 Figures FiguresOf(const LoopResult& loop) {
   return {Ratio(static_cast<double>(loop.attempted()), loop.busy_seconds),
-          Percentile(loop.latency_ns, 0.5) / 1e3,
-          Percentile(loop.latency_ns, 0.99) / 1e3};
+          WindowedP50Us(loop), Percentile(loop.latency_ns, 0.99) / 1e3};
 }
 
 /// paged_sql's shape guard over a measured interval: the pool must serve
@@ -506,10 +585,22 @@ TraceCounters RunTraced(const mdw::Warehouse& wh, const WorkloadSpec& spec,
   TraceCounters c;
   c.cache_before = wh.plan_cache_stats();
   c.pool_before = PoolStatsOf(wh);
-  const auto stop = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                       std::chrono::duration<double>(seconds));
-  while (Clock::now() < stop &&
-         static_cast<std::size_t>(c.statements) < kMaxTracedStatements) {
+  // Rotates like the untraced loop, so trace.overhead_frac compares runs
+  // placed alike. The pool above exists before the client is pinned.
+  CpuRotation rotation(/*enabled=*/true);
+  const auto window_length = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(kWindowSeconds));
+  auto window_stop = Clock::now();
+  const auto stop = window_stop + std::chrono::duration_cast<Clock::duration>(
+                                      std::chrono::duration<double>(seconds));
+  for (auto now = window_stop;
+       now < stop &&
+       static_cast<std::size_t>(c.statements) < kMaxTracedStatements;
+       now = Clock::now()) {
+    if (now >= window_stop) {
+      rotation.Next();
+      window_stop = now + window_length;
+    }
     const std::uint32_t id = set.stream[*cursor % set.stream.size()];
     ++*cursor;
     const auto stmt = static_cast<std::uint32_t>(c.statements++);
@@ -769,17 +860,19 @@ int Run(const Args& args) {
   const CpuTicks ticks_before = ReadCpuTicks();
 
   // The warehouse is constructed kSetupRepeats times, and each
-  // construction is measured for an equal share of the time: figures
-  // differ by up to ~30% between constructions of the same data in one
-  // process, so a run reports the median over several constructions.
+  // construction is measured for an equal share of the time. setup_s is
+  // the median construction time; qps, p50_us and p99_us are taken over
+  // every statement of every construction's measured loop, which spreads
+  // the sample over the whole run instead of one stretch of it.
   const double untraced_seconds = args.trace ? args.seconds / 2 : args.seconds;
   std::vector<double> setup_seconds;
-  std::vector<double> qps, p50_us, p99_us;
   Reference ref;
+  LoopResult all_loops;
   LoopResult last_loop;
   std::int64_t attempted = 0;
   std::int64_t failed = 0;
   std::int64_t store_bytes = 0;
+  double peak_rss_mb = 0;
   std::unique_ptr<mdw::Warehouse> wh;
   for (int k = 0; k < kSetupRepeats; ++k) {
     if (wh != nullptr) {
@@ -797,21 +890,30 @@ int Run(const Args& args) {
     if (k == 0) ref = BuildReference(*wh, *spec, set, args.seed);
 
     std::size_t cursor = 0;
-    RunLoop(*wh, set, ref, &cursor, kWarmupSeconds);
+    RunLoop(*wh, set, ref, &cursor, kWarmupSeconds, /*rotate=*/false);
     const auto pool_before = PoolStatsOf(*wh);
     last_loop =
-        RunLoop(*wh, set, ref, &cursor, untraced_seconds / kSetupRepeats);
+        RunLoop(*wh, set, ref, &cursor, untraced_seconds / kSetupRepeats,
+                /*rotate=*/true);
     if (spec->paged) CheckPagedGuard(pool_before, PoolStatsOf(*wh));
     const Figures figures = FiguresOf(last_loop);
-    qps.push_back(figures.qps);
-    p50_us.push_back(figures.p50_us);
-    p99_us.push_back(figures.p99_us);
     std::fprintf(stderr,
                  "sql_bench: construction %d: setup %.3f s, %lld statements, "
-                 "qps %.1f, p50 %.2f us, p99 %.2f us\n",
+                 "qps %.1f, p50 %.2f us, p99 %.2f us, peak rss %.1f MB\n",
                  k + 1, setup_seconds.back(),
                  static_cast<long long>(last_loop.attempted()), figures.qps,
-                 figures.p50_us, figures.p99_us);
+                 figures.p50_us, figures.p99_us, ProcStatusMb("VmHWM"));
+    // Peak memory of one warehouse and its workload. Later constructions
+    // reuse memory the allocator kept from the earlier ones, and how much
+    // of it stays resident varied by ~50 MB from run to run.
+    if (k == 0) peak_rss_mb = ProcStatusMb("VmHWM");
+    for (const std::size_t end : last_loop.window_ends) {
+      all_loops.window_ends.push_back(all_loops.latency_ns.size() + end);
+    }
+    all_loops.latency_ns.insert(all_loops.latency_ns.end(),
+                                last_loop.latency_ns.begin(),
+                                last_loop.latency_ns.end());
+    all_loops.busy_seconds += last_loop.busy_seconds;
     attempted += last_loop.attempted();
     failed += last_loop.failed;
   }
@@ -849,12 +951,13 @@ int Run(const Args& args) {
       std::printf("metric %-36s %.6g %s\n", "store_mb",
                   static_cast<double>(store_bytes) / (1 << 20), "MB");
     }
+    const Figures figures = FiguresOf(all_loops);
     PrintResult(failed == 0, attempted, failed,
-                {{"qps", Median(qps), "1/s"},
-                 {"p50_us", Median(p50_us), "us"},
-                 {"p99_us", Median(p99_us), "us"},
+                {{"qps", figures.qps, "1/s"},
+                 {"p50_us", figures.p50_us, "us"},
+                 {"p99_us", figures.p99_us, "us"},
                  {"setup_s", Median(setup_seconds), "s"},
-                 {"peak_rss_mb", ProcStatusMb("VmHWM"), "MB"}});
+                 {"peak_rss_mb", peak_rss_mb, "MB"}});
     return 0;
   }
 

@@ -39,8 +39,8 @@ struct WorkloadSpec {
   std::vector<int> cycle;
   /// Length of the pre-generated stream; each construction's loop starts
   /// at its beginning and wraps around it. Every distinct statement in it
-  /// is executed once before timing, so it is kept near what one
-  /// construction's share of the run sends.
+  /// is executed once before timing, which bounds its length: at 20 s a
+  /// scan or paged construction's share of the run sends it about twice.
   std::size_t stream_length = 0;
 };
 
