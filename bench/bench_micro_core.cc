@@ -157,17 +157,16 @@ void BM_BtreeRangeScan(benchmark::State& state) {
 }
 BENCHMARK(BM_BtreeRangeScan);
 
-void BM_ParseStarQuery(benchmark::State& state) {
+void BM_ParseSql(benchmark::State& state) {
   const auto schema = mdw::MakeApb1Schema();
   const std::string sql =
       "SELECT SUM(UnitsSold), SUM(DollarSales) FROM sales "
       "WHERE time.month = 3 AND product.group = 41";
-  std::string error;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mdw::ParseStarQuery(schema, sql, &error));
+    benchmark::DoNotOptimize(mdw::ParseSql(schema, sql));
   }
 }
-BENCHMARK(BM_ParseStarQuery);
+BENCHMARK(BM_ParseSql);
 
 void BM_PlanUnsupportedQuery(benchmark::State& state) {
   // 1STORE's plan includes full slices (24 x 480 values).

@@ -73,6 +73,9 @@ class BitVector {
     }
   }
 
+  /// The packed bits, 64 per word, bit i at words()[i / 64] >> (i % 64).
+  const std::uint64_t* words() const { return words_.data(); }
+
   friend bool operator==(const BitVector& a, const BitVector& b) {
     return a.size_bits_ == b.size_bits_ && a.words_ == b.words_;
   }

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -33,16 +34,6 @@ void CutRanges(const std::vector<RowRange>& ranges, std::int64_t grain,
       chunks->push_back({b, std::min(b + grain, r.end)});
     }
   }
-}
-
-/// Cuts disjoint ascending `ranges` into chunks sized for `lanes` lanes.
-std::vector<RowRange> ChunkRanges(const std::vector<RowRange>& ranges,
-                                  int lanes) {
-  std::int64_t total = 0;
-  for (const auto& r : ranges) total += r.rows();
-  std::vector<RowRange> chunks;
-  CutRanges(ranges, ChunkGrain(total, lanes), &chunks);
-  return chunks;
 }
 
 /// Adds p's scan-side partial (scanned rows, I/O, and aggregate) into
@@ -77,228 +68,143 @@ void FoldIo(const storage::SegmentStore::IoCounters& io,
   partial->checksum_failures += io.checksum_failures;
 }
 
-/// Measure readers the scan kernels are templated on — RAM vectors or
-/// per-chunk buffer-pool cursors — so the hot loops stay free of
-/// per-row virtual dispatch.
-struct RamMeasures {
-  const std::vector<std::int64_t>* units;
-  const std::vector<std::int64_t>* dollars;
-  std::int64_t Units(std::int64_t row) {
-    return (*units)[static_cast<std::size_t>(row)];
+/// The blocks one scan chunk currently reads, positioned at the first row
+/// visited in them: values of rows [row, end) sit at u/d/k[row' - row].
+struct ScanBlocks {
+  const std::int64_t* u = nullptr;
+  const std::int64_t* d = nullptr;
+  const std::int64_t* k = nullptr;
+  std::int64_t end = 0;
+};
+
+/// Fetches the measure blocks (and with kGrouped the group-key block)
+/// holding `row`, clipped to `limit`. A paged store's measure and
+/// dimension columns share one page geometry per shard, so one end
+/// serves all of them.
+template <bool kGrouped>
+ScanBlocks FetchBlocks(storage::ColumnReader& units,
+                       storage::ColumnReader& dollars,
+                       storage::ColumnReader* keys, std::int64_t row,
+                       std::int64_t limit) {
+  const storage::ColumnBlock ub = units.Fetch(row);
+  const storage::ColumnBlock db = dollars.Fetch(row);
+  ScanBlocks b;
+  b.u = ub.data + (row - ub.begin);
+  b.d = db.data + (row - db.begin);
+  b.end = std::min({ub.end, db.end, limit});
+  if constexpr (kGrouped) {
+    const storage::ColumnBlock kb = keys->Fetch(row);
+    b.k = kb.data + (row - kb.begin);
+    b.end = std::min(b.end, kb.end);
   }
-  std::int64_t Dollars(std::int64_t row) {
-    return (*dollars)[static_cast<std::size_t>(row)];
+  return b;
+}
+
+/// A scan chunk's running aggregate.
+struct ScanSums {
+  std::int64_t rows = 0;
+  std::int64_t units = 0;
+  std::int64_t dollars = 0;
+};
+
+/// Tallies the hit at offset `i` of blocks `b`.
+template <bool kGrouped>
+void TallyHit(const ScanBlocks& b, std::int64_t i, std::int64_t leaves_per,
+              MiniWarehouse::GroupAccum* groups, ScanSums& sums) {
+  const std::int64_t uv = b.u[i];
+  const std::int64_t dv = b.d[i];
+  ++sums.rows;
+  sums.units += uv;
+  sums.dollars += dv;
+  if constexpr (kGrouped) groups->Tally(b.k[i] / leaves_per, uv, dv);
+}
+
+/// Tallies the hits of blocks `b` marked in `words` over bits
+/// [first, stop) — bit i is the row at offset i - first. Out of line on
+/// purpose: inlined into the chunk loop, GCC kept a sum in memory and
+/// every hit paid a store-to-load round trip.
+template <bool kGrouped>
+[[gnu::noinline]] ScanSums TallyMarkedHits(const std::uint64_t* words,
+                                           std::int64_t first,
+                                           std::int64_t stop,
+                                           const ScanBlocks& b,
+                                           std::int64_t leaves_per,
+                                           MiniWarehouse::GroupAccum* groups) {
+  ScanSums sums;
+  for (std::int64_t w = first / 64; w * 64 < stop; ++w) {
+    std::uint64_t word = words[w];
+    if (w == first / 64) word &= ~0ULL << (first % 64);
+    if (stop - w * 64 < 64) word &= ~(~0ULL << (stop - w * 64));
+    while (word != 0) {
+      const std::int64_t i = w * 64 + __builtin_ctzll(word);
+      TallyHit<kGrouped>(b, i - first, leaves_per, groups, sums);
+      word &= word - 1;
+    }
   }
-};
-
-struct PagedMeasures {
-  storage::SegmentStore::Cursor units;
-  storage::SegmentStore::Cursor dollars;
-  std::int64_t Units(std::int64_t row) { return units.At(row); }
-  std::int64_t Dollars(std::int64_t row) { return dollars.At(row); }
-};
-
-/// Group sinks the scan kernels are templated on: NoGrouping compiles the
-/// per-hit group tally away entirely, so the ungrouped hot loops are
-/// byte-for-byte the pre-grouping kernels.
-struct NoGrouping {
-  void Add(std::int64_t /*row*/, std::int64_t /*units*/,
-           std::int64_t /*dollars*/) {}
-};
-
-/// Per-row grouping: reads the group dimension's leaf through `leaf` and
-/// tallies the hit into its dense group slot. Used for every grouped scan
-/// (aligned or not — on an aligned fragment all rows share the key, and
-/// the division is cheaper than threading the fragment key through the
-/// chunk cutter).
-template <typename LeafOf>
-struct RowGrouping {
-  LeafOf leaf;
-  std::int64_t leaves_per;
-  MiniWarehouse::GroupAccum* acc;
-
-  void Add(std::int64_t row, std::int64_t units, std::int64_t dollars) {
-    const auto k = static_cast<std::size_t>(leaf(row) / leaves_per);
-    ++acc->rows[k];
-    acc->units[k] += units;
-    acc->dollars[k] += dollars;
-  }
-};
+  return sums;
+}
 
 /// The residual-scan kernel: aggregates rows [begin, end) under the
-/// accesses' bitmap filters (evaluated over the range only, O(range)).
-template <typename Accesses, typename Measures, typename Grouping>
+/// accesses' bitmap filters (evaluated over the range only, O(range)),
+/// reading the measures (and, when kGrouped, the group dimension's leaf
+/// through `keys`) block by block. Rows are visited in ascending order,
+/// so each block is fetched once and its hits are tallied in a tight
+/// loop over locals — one fetch per chunk for a resident store, one per
+/// page for a paged one. kGrouped = false compiles the per-hit group
+/// tally away.
+template <bool kGrouped, typename Accesses>
 void ProcessRows(const IndexSet& indexes, std::int64_t begin,
-                 std::int64_t end, const Accesses& accesses, Measures& m,
-                 Grouping& g, MiniWarehouse::MdhfExecution* partial) {
+                 std::int64_t end, const Accesses& accesses,
+                 storage::ColumnReader& units, storage::ColumnReader& dollars,
+                 storage::ColumnReader* keys, std::int64_t leaves_per,
+                 MiniWarehouse::GroupAccum* groups,
+                 MiniWarehouse::MdhfExecution* partial) {
   partial->rows_scanned += end - begin;
-  auto& agg = partial->result;
+  ScanSums sums;
   if (accesses.empty()) {
     // Q1/Q3 clustered hits: fragment membership IS the filter — every row
     // of the range is a hit.
-    for (std::int64_t row = begin; row < end; ++row) {
-      ++agg.rows;
-      const std::int64_t units = m.Units(row);
-      const std::int64_t dollars = m.Dollars(row);
-      agg.units_sold += units;
-      agg.dollar_sales_cents += dollars;
-      g.Add(row, units, dollars);
-    }
-    return;
-  }
-  // Bitmap filter over this range only: O(range), never O(table).
-  BitVector filter(end - begin);
-  filter.SetAll();
-  for (const auto& a : accesses) {
-    BitVector pred_rows(end - begin);
-    for (const auto value : a.pred->values) {
-      if (a.same_ancestor) {
-        pred_rows |= indexes.SelectWithinFragmentSlice(
-            a.pred->dim, a.pred->depth, value, a.frag_depth, begin, end);
-      } else {
-        pred_rows |= indexes.SelectSlice(a.pred->dim, a.pred->depth, value,
-                                         begin, end);
+    for (std::int64_t row = begin; row < end;) {
+      const ScanBlocks b =
+          FetchBlocks<kGrouped>(units, dollars, keys, row, end);
+      for (std::int64_t i = 0; i < b.end - row; ++i) {
+        TallyHit<kGrouped>(b, i, leaves_per, groups, sums);
       }
-    }
-    filter &= pred_rows;
-  }
-  filter.ForEachSetBit([&](std::int64_t i) {
-    const std::int64_t row = begin + i;
-    ++agg.rows;
-    const std::int64_t units = m.Units(row);
-    const std::int64_t dollars = m.Dollars(row);
-    agg.units_sold += units;
-    agg.dollar_sales_cents += dollars;
-    g.Add(row, units, dollars);
-  });
-}
-
-/// Sums the measures of the set rows (the bitmap-index execution tail).
-template <typename Measures>
-MiniWarehouse::AggregateResult SumSetBits(const BitVector& hits, Measures& m) {
-  MiniWarehouse::AggregateResult result;
-  hits.ForEachSetBit([&](std::int64_t row) {
-    ++result.rows;
-    result.units_sold += m.Units(row);
-    result.dollar_sales_cents += m.Dollars(row);
-  });
-  return result;
-}
-
-/// The reference full-scan kernel: applies the predicates against the
-/// hierarchies row by row, reading dimension leaves through `leaf_of`.
-template <typename LeafOf, typename Measures>
-MiniWarehouse::AggregateResult FullScanRows(const StarSchema& schema,
-                                            const StarQuery& query,
-                                            std::int64_t rows,
-                                            LeafOf&& leaf_of, Measures& m) {
-  MiniWarehouse::AggregateResult result;
-  for (std::int64_t row = 0; row < rows; ++row) {
-    bool match = true;
-    for (const auto& pred : query.predicates()) {
-      const auto& h = schema.dimension(pred.dim).hierarchy();
-      const std::int64_t value =
-          h.AncestorOfLeaf(leaf_of(pred.dim, row), pred.depth);
-      if (std::find(pred.values.begin(), pred.values.end(), value) ==
-          pred.values.end()) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
-    ++result.rows;
-    result.units_sold += m.Units(row);
-    result.dollar_sales_cents += m.Dollars(row);
-  }
-  return result;
-}
-
-/// The unclustered fallback kernel: per-row fragment membership through
-/// `probe_leaf` (probe index, row) plus the prebuilt full-width filter.
-template <typename Probes, typename ProbeLeaf, typename Measures,
-          typename Grouping>
-void UnclusteredChunk(const RowRange& chunk, const Probes& probes,
-                      ProbeLeaf&& probe_leaf,
-                      const std::vector<FragId>& frag_ids, bool all_fragments,
-                      const BitVector& filter, Measures& m, Grouping& g,
-                      MiniWarehouse::MdhfExecution* partial) {
-  auto& agg = partial->result;
-  for (std::int64_t row = chunk.begin; row < chunk.end; ++row) {
-    if (!all_fragments) {
-      FragId fid = 0;
-      for (std::size_t p = 0; p < probes.size(); ++p) {
-        fid = fid * probes[p].card + probe_leaf(p, row) / probes[p].leaves_per;
-      }
-      if (!std::binary_search(frag_ids.begin(), frag_ids.end(), fid)) {
-        continue;
-      }
-    }
-    ++partial->rows_scanned;
-    if (!filter.Get(row)) continue;
-    ++agg.rows;
-    const std::int64_t units = m.Units(row);
-    const std::int64_t dollars = m.Dollars(row);
-    agg.units_sold += units;
-    agg.dollar_sales_cents += dollars;
-    g.Add(row, units, dollars);
-  }
-}
-
-/// Cuts `ranges` for `pool` and runs `process` once per chunk — serially,
-/// or as pool tasks each filling a private partial — then merges the
-/// partials in chunk order. The single merge point keeps serial and
-/// parallel runs (and both execution paths) bit-identical by
-/// construction.
-///
-/// `cancel` is polled at every chunk boundary: once tripped, the
-/// remaining chunks are abandoned and the merged record carries the
-/// token's typed status (so the caller discards the incomplete
-/// aggregate). A token that never trips — the unarmed default in
-/// particular — leaves the record bit-identical to an uncancellable run.
-/// When `groups` is non-null, serial chunks tally straight into it while
-/// parallel chunks fill private per-chunk accumulators merged after the
-/// barrier — element-wise integer addition, so the grouped partials are
-/// order-independent and bit-identical either way.
-MiniWarehouse::MdhfExecution RunChunks(
-    const std::vector<RowRange>& ranges, const ThreadPool* pool,
-    const CancellationToken& cancel, std::int64_t group_card,
-    MiniWarehouse::GroupAccum* groups,
-    const std::function<void(const RowRange&, MiniWarehouse::MdhfExecution*,
-                             MiniWarehouse::GroupAccum*)>& process) {
-  const int lanes = pool == nullptr ? 1 : pool->size() + 1;
-  const std::vector<RowRange> chunks = ChunkRanges(ranges, lanes);
-  MiniWarehouse::MdhfExecution exec;
-  bool all_ran = true;
-  if (pool == nullptr || chunks.size() < 2) {
-    for (const auto& c : chunks) {
-      if (cancel.ShouldStop()) {
-        all_ran = false;
-        break;
-      }
-      process(c, &exec, groups);
+      row = b.end;
     }
   } else {
-    std::vector<MiniWarehouse::MdhfExecution> partials(chunks.size());
-    std::vector<MiniWarehouse::GroupAccum> gpartials;
-    if (groups != nullptr) {
-      gpartials.resize(chunks.size());
-      for (auto& g : gpartials) g.Reset(group_card);
+    // Bitmap filter over this range only: O(range), never O(table).
+    BitVector filter(end - begin);
+    filter.SetAll();
+    for (const auto& a : accesses) {
+      BitVector pred_rows(end - begin);
+      for (const auto value : a.pred->values) {
+        if (a.same_ancestor) {
+          pred_rows |= indexes.SelectWithinFragmentSlice(
+              a.pred->dim, a.pred->depth, value, a.frag_depth, begin, end);
+        } else {
+          pred_rows |= indexes.SelectSlice(a.pred->dim, a.pred->depth, value,
+                                           begin, end);
+        }
+      }
+      filter &= pred_rows;
     }
-    all_ran = pool->ParallelFor(
-        static_cast<std::int64_t>(chunks.size()),
-        [&](std::int64_t i) {
-          const auto u = static_cast<std::size_t>(i);
-          process(chunks[u], &partials[u],
-                  groups == nullptr ? nullptr : &gpartials[u]);
-        },
-        cancel);
-    for (const auto& p : partials) MergeScanPartial(p, &exec);
-    for (const auto& g : gpartials) groups->Merge(g);
+    // Bit i is row begin + i. Each block starts at its first hit.
+    for (std::int64_t first = filter.NextSetBit(0); first >= 0;) {
+      const ScanBlocks b =
+          FetchBlocks<kGrouped>(units, dollars, keys, begin + first, end);
+      const std::int64_t stop = b.end - begin;
+      const ScanSums block = TallyMarkedHits<kGrouped>(
+          filter.words(), first, stop, b, leaves_per, groups);
+      sums.rows += block.rows;
+      sums.units += block.units;
+      sums.dollars += block.dollars;
+      first = filter.NextSetBit(stop);
+    }
   }
-  // Only an actually-abandoned chunk poisons the record: a token that
-  // trips after the last chunk finished changes nothing.
-  if (!all_ran) exec.status.Update(cancel.CancelStatus());
-  return exec;
+  partial->result.rows += sums.rows;
+  partial->result.units_sold += sums.units;
+  partial->result.dollar_sales_cents += sums.dollars;
 }
 
 }  // namespace
@@ -332,12 +238,6 @@ std::vector<GroupRow> MiniWarehouse::GroupAccum::Compact() const {
   return out;
 }
 
-MiniWarehouse::MiniWarehouse(StarSchema schema, std::uint64_t seed)
-    : schema_(std::move(schema)) {
-  Populate(seed);
-  indexes_ = std::make_unique<IndexSet>(schema_, facts_);
-}
-
 MiniWarehouse::MiniWarehouse(StarSchema schema, std::uint64_t seed,
                              std::vector<FragAttr> cluster_attrs,
                              bool enable_summaries, int num_shards,
@@ -362,6 +262,18 @@ MiniWarehouse::MiniWarehouse(StarSchema schema, std::uint64_t seed,
     }
     summaries_enabled_ = true;
   }
+  // The column table, in column-id order.
+  const auto whole = [](const std::vector<std::int64_t>& column) {
+    return storage::ColumnBlock{column.data(), 0,
+                                static_cast<std::int64_t>(column.size())};
+  };
+  for (const auto& column : facts_.columns) resident_.push_back(whole(column));
+  resident_.push_back(whole(units_sold_));
+  resident_.push_back(whole(dollar_sales_cents_));
+  if (summaries_enabled_) {
+    resident_.push_back(whole(units_prefix_));
+    resident_.push_back(whole(dollars_prefix_));
+  }
   if (!storage.path.empty()) BuildPagedStore(seed, storage);
 }
 
@@ -372,9 +284,17 @@ const FactColumns& MiniWarehouse::facts() const {
   return facts_;
 }
 
+storage::ColumnReader MiniWarehouse::OpenColumn(
+    int column, storage::SegmentStore::IoCounters* io,
+    const CancellationToken& cancel) const {
+  if (store_ != nullptr) {
+    return storage::ColumnReader(store_->MakeCursor(column, io, cancel));
+  }
+  return storage::ColumnReader(resident_[static_cast<std::size_t>(column)]);
+}
+
 void MiniWarehouse::BuildPagedStore(std::uint64_t seed,
                                     const storage::StoreOptions& options) {
-  MDW_CHECK(clustered(), "file-backed mode requires the clustered layout");
   storage::SegmentStore::BuildInput in;
   in.page_size = schema_.physical().page_size_bytes;
   in.tuples_per_page = schema_.physical().TuplesPerPage();
@@ -417,13 +337,7 @@ void MiniWarehouse::BuildPagedStore(std::uint64_t seed,
           {f, frag_offsets_[rank] - base, frag_offsets_[rank + 1] - base});
     }
   }
-  for (const auto& column : facts_.columns) in.columns.push_back(&column);
-  in.columns.push_back(&units_sold_);
-  in.columns.push_back(&dollar_sales_cents_);
-  if (summaries_enabled_) {
-    in.columns.push_back(&units_prefix_);
-    in.columns.push_back(&dollars_prefix_);
-  }
+  for (const auto& column : resident_) in.columns.push_back(column.data);
   store_ = std::make_unique<storage::SegmentStore>(options, in);
 
   // Drop the in-RAM copies — the segments are the backing truth now. The
@@ -437,6 +351,7 @@ void MiniWarehouse::BuildPagedStore(std::uint64_t seed,
   dollar_sales_cents_ = {};
   units_prefix_ = {};
   dollars_prefix_ = {};
+  resident_.clear();
 }
 
 void MiniWarehouse::Populate(std::uint64_t seed) {
@@ -591,13 +506,12 @@ void MiniWarehouse::ClusterByFragment(std::vector<FragAttr> cluster_attrs,
 }
 
 bool MiniWarehouse::ClusteredFor(const Fragmentation& fragmentation) const {
-  return cluster_frag_ != nullptr && &fragmentation.schema() == &schema_ &&
+  return &fragmentation.schema() == &schema_ &&
          fragmentation.attrs() == cluster_frag_->attrs();
 }
 
 std::pair<std::int64_t, std::int64_t> MiniWarehouse::FragmentRows(
     FragId id) const {
-  MDW_CHECK(clustered(), "warehouse is not fragment-clustered");
   MDW_CHECK(id >= 0 && id < cluster_frag_->FragmentCount(),
             "fragment id out of range");
   const auto rank =
@@ -606,21 +520,18 @@ std::pair<std::int64_t, std::int64_t> MiniWarehouse::FragmentRows(
 }
 
 int MiniWarehouse::ShardOfFragment(FragId id) const {
-  MDW_CHECK(clustered(), "warehouse is not fragment-clustered");
   MDW_CHECK(id >= 0 && id < cluster_frag_->FragmentCount(),
             "fragment id out of range");
   return shard_of_frag_[static_cast<std::size_t>(id)];
 }
 
 std::pair<std::int64_t, std::int64_t> MiniWarehouse::ShardRows(int s) const {
-  MDW_CHECK(clustered(), "warehouse is not fragment-clustered");
   MDW_CHECK(s >= 0 && s < num_shards_, "shard out of range");
   return {shard_row_begin_[static_cast<std::size_t>(s)],
           shard_row_begin_[static_cast<std::size_t>(s) + 1]};
 }
 
 const std::vector<FragId>& MiniWarehouse::ShardFragments(int s) const {
-  MDW_CHECK(clustered(), "warehouse is not fragment-clustered");
   MDW_CHECK(s >= 0 && s < num_shards_, "shard out of range");
   return shard_fragments_[static_cast<std::size_t>(s)];
 }
@@ -639,43 +550,67 @@ double MiniWarehouse::MdhfExecution::ShardSkew() const {
          static_cast<double>(total);
 }
 
-MiniWarehouse::AggregateResult MiniWarehouse::ExecuteFullScan(
-    const StarQuery& query) const {
-  if (store_ == nullptr) {
-    RamMeasures m{&units_sold_, &dollar_sales_cents_};
-    const auto leaf_of = [&](DimId d, std::int64_t row) {
-      return facts_.columns[static_cast<std::size_t>(d)]
-                           [static_cast<std::size_t>(row)];
-    };
-    return FullScanRows(schema_, query, row_count(), leaf_of, m);
-  }
-  // File-backed: one pool cursor per predicate dimension + the measures.
-  std::vector<std::pair<DimId, storage::SegmentStore::Cursor>> dims;
-  for (const auto& pred : query.predicates()) {
-    dims.emplace_back(pred.dim,
-                      store_->MakeCursor(store_->ColDim(pred.dim), nullptr));
-  }
-  const auto leaf_of = [&](DimId d, std::int64_t row) {
-    for (auto& [dim, cursor] : dims) {
-      if (dim == d) return cursor.At(row);
-    }
-    MDW_CHECK(false, "predicate dimension without a cursor");
-    return std::int64_t{0};
+MiniWarehouse::AggregateResult MiniWarehouse::FullScan(
+    const StarQuery& query, const GroupBy* group_by,
+    GroupAccum* groups) const {
+  // One reader per dimension the scan reads, plus the measures.
+  std::vector<std::optional<storage::ColumnReader>> dims(
+      static_cast<std::size_t>(schema_.num_dimensions()));
+  const auto open = [&](DimId d) {
+    auto& reader = dims[static_cast<std::size_t>(d)];
+    if (!reader.has_value()) reader.emplace(OpenColumn(d, nullptr, {}));
   };
-  PagedMeasures m{store_->MakeCursor(store_->ColUnits(), nullptr),
-                  store_->MakeCursor(store_->ColDollars(), nullptr)};
-  const AggregateResult result =
-      FullScanRows(schema_, query, row_count(), leaf_of, m);
+  for (const auto& pred : query.predicates()) open(pred.dim);
+  std::int64_t leaves_per = 1;
+  if (groups != nullptr) {
+    open(group_by->dim);
+    leaves_per =
+        schema_.dimension(group_by->dim).hierarchy().LeavesPer(group_by->depth);
+  }
+  const auto leaf = [&](DimId d, std::int64_t row) {
+    return dims[static_cast<std::size_t>(d)]->At(row);
+  };
+  storage::ColumnReader units = OpenColumn(ColUnits(), nullptr, {});
+  storage::ColumnReader dollars = OpenColumn(ColDollars(), nullptr, {});
+
+  AggregateResult result;
+  for (std::int64_t row = 0; row < row_count(); ++row) {
+    bool match = true;
+    for (const auto& pred : query.predicates()) {
+      const auto& h = schema_.dimension(pred.dim).hierarchy();
+      const std::int64_t value =
+          h.AncestorOfLeaf(leaf(pred.dim, row), pred.depth);
+      if (std::find(pred.values.begin(), pred.values.end(), value) ==
+          pred.values.end()) {
+        match = false;
+        break;
+      }
+    }
+    if (!match) continue;
+    const std::int64_t u = units.At(row);
+    const std::int64_t d = dollars.At(row);
+    ++result.rows;
+    result.units_sold += u;
+    result.dollar_sales_cents += d;
+    if (groups != nullptr) {
+      groups->Tally(leaf(group_by->dim, row) / leaves_per, u, d);
+    }
+  }
   // The reference paths are ground truth, not serving paths: a storage
   // error here means the test substrate itself is broken, so fail fast
   // instead of returning a silently-zeroed baseline.
-  for (auto& [dim, cursor] : dims) {
-    MDW_CHECK(cursor.status().ok(),
+  for (const auto& reader : dims) {
+    MDW_CHECK(!reader.has_value() || reader->status().ok(),
               "reference full scan hit a storage error");
   }
-  MDW_CHECK(m.units.status().ok() && m.dollars.status().ok(),
+  MDW_CHECK(units.status().ok() && dollars.status().ok(),
             "reference full scan hit a storage error");
   return result;
+}
+
+MiniWarehouse::AggregateResult MiniWarehouse::ExecuteFullScan(
+    const StarQuery& query) const {
+  return FullScan(query, nullptr, nullptr);
 }
 
 std::vector<GroupRow> MiniWarehouse::ExecuteFullScanGrouped(
@@ -689,66 +624,7 @@ std::vector<GroupRow> MiniWarehouse::ExecuteFullScanGrouped(
             "GROUP BY level out of range");
   GroupAccum acc;
   acc.Reset(gh.Cardinality(gb.depth));
-  const std::int64_t leaves_per = gh.LeavesPer(gb.depth);
-
-  const auto scan = [&](auto&& leaf_of, auto& m) {
-    for (std::int64_t row = 0; row < row_count(); ++row) {
-      bool match = true;
-      for (const auto& pred : query.predicates()) {
-        const auto& h = schema_.dimension(pred.dim).hierarchy();
-        const std::int64_t value =
-            h.AncestorOfLeaf(leaf_of(pred.dim, row), pred.depth);
-        if (std::find(pred.values.begin(), pred.values.end(), value) ==
-            pred.values.end()) {
-          match = false;
-          break;
-        }
-      }
-      if (!match) continue;
-      acc.Tally(leaf_of(gb.dim, row) / leaves_per, m.Units(row),
-                m.Dollars(row));
-    }
-  };
-
-  if (store_ == nullptr) {
-    RamMeasures m{&units_sold_, &dollar_sales_cents_};
-    const auto leaf_of = [&](DimId d, std::int64_t row) {
-      return facts_.columns[static_cast<std::size_t>(d)]
-                           [static_cast<std::size_t>(row)];
-    };
-    scan(leaf_of, m);
-    return acc.Compact();
-  }
-  // File-backed: cursors for the predicate dimensions plus (if distinct)
-  // the group dimension.
-  std::vector<std::pair<DimId, storage::SegmentStore::Cursor>> dims;
-  for (const auto& pred : query.predicates()) {
-    dims.emplace_back(pred.dim,
-                      store_->MakeCursor(store_->ColDim(pred.dim), nullptr));
-  }
-  bool have_group_dim = false;
-  for (const auto& [dim, cursor] : dims) have_group_dim |= dim == gb.dim;
-  if (!have_group_dim) {
-    dims.emplace_back(gb.dim,
-                      store_->MakeCursor(store_->ColDim(gb.dim), nullptr));
-  }
-  const auto leaf_of = [&](DimId d, std::int64_t row) {
-    for (auto& [dim, cursor] : dims) {
-      if (dim == d) return cursor.At(row);
-    }
-    MDW_CHECK(false, "dimension without a cursor");
-    return std::int64_t{0};
-  };
-  PagedMeasures m{store_->MakeCursor(store_->ColUnits(), nullptr),
-                  store_->MakeCursor(store_->ColDollars(), nullptr)};
-  scan(leaf_of, m);
-  // Ground truth, not a serving path: fail fast on storage errors.
-  for (auto& [dim, cursor] : dims) {
-    MDW_CHECK(cursor.status().ok(),
-              "grouped reference scan hit a storage error");
-  }
-  MDW_CHECK(m.units.status().ok() && m.dollars.status().ok(),
-            "grouped reference scan hit a storage error");
+  FullScan(query, &gb, &acc);
   return acc.Compact();
 }
 
@@ -763,89 +639,123 @@ MiniWarehouse::AggregateResult MiniWarehouse::ExecuteWithBitmaps(
     }
     hits &= pred_rows;
   }
-  if (store_ == nullptr) {
-    RamMeasures m{&units_sold_, &dollar_sales_cents_};
-    return SumSetBits(hits, m);
-  }
-  PagedMeasures m{store_->MakeCursor(store_->ColUnits(), nullptr),
-                  store_->MakeCursor(store_->ColDollars(), nullptr)};
-  const AggregateResult result = SumSetBits(hits, m);
-  MDW_CHECK(m.units.status().ok() && m.dollars.status().ok(),
+  storage::ColumnReader units = OpenColumn(ColUnits(), nullptr, {});
+  storage::ColumnReader dollars = OpenColumn(ColDollars(), nullptr, {});
+  AggregateResult result;
+  hits.ForEachSetBit([&](std::int64_t row) {
+    ++result.rows;
+    result.units_sold += units.At(row);
+    result.dollar_sales_cents += dollars.At(row);
+  });
+  MDW_CHECK(units.status().ok() && dollars.status().ok(),
             "bitmap reference execution hit a storage error");
   return result;
-}
-
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteWithFragmentation(
-    const StarQuery& query, const Fragmentation& fragmentation) const {
-  MDW_CHECK(&fragmentation.schema() == &schema_,
-            "fragmentation must belong to this warehouse's schema");
-  const QueryPlanner planner(&schema_, &fragmentation);
-  return ExecuteWithPlan(query, planner.Plan(query));
-}
-
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteWithPlan(
-    const StarQuery& query, const QueryPlan& plan) const {
-  return ExecuteWithPlan(query, plan, /*pool=*/nullptr);
-}
-
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteWithPlan(
-    const StarQuery& query, const QueryPlan& plan,
-    const ThreadPool* pool) const {
-  return ExecuteWithPlan(query, plan, pool, /*scratch=*/nullptr);
-}
-
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteWithPlan(
-    const StarQuery& query, const QueryPlan& plan, const ThreadPool* pool,
-    ExecScratch* scratch) const {
-  return ExecuteWithPlan(query, plan, pool, scratch, ExecOptions{});
 }
 
 MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteWithPlan(
     const StarQuery& query, const QueryPlan& plan, const ThreadPool* pool,
     ExecScratch* scratch, const ExecOptions& options) const {
-  const Fragmentation& fragmentation = plan.fragmentation();
-  MDW_CHECK(&fragmentation.schema() == &schema_,
-            "plan's fragmentation must belong to this warehouse's schema");
   MDW_CHECK(!options.covered_only ||
-                (summaries_enabled_ && ClusteredFor(fragmentation) &&
+                (summaries_enabled_ &&
                  (!plan.grouped() || plan.AlignedGrouping())),
-            "covered-only degradation requires summaries over a matching "
-            "clustered layout (and fragmentation-aligned grouping)");
-
-  // Entry checkpoint: a token tripped before execution starts must yield
-  // the typed status even when the query would be answered entirely from
-  // summaries (the covered path runs no cancellable scan chunks).
-  if (options.cancel.ShouldStop()) {
-    MdhfExecution exec;
+            "covered-only degradation requires summaries (and "
+            "fragmentation-aligned grouping)");
+  MdhfExecution exec;
+  if (!ClusteredFor(plan.fragmentation())) {
+    exec.status = Status::InvalidArgument(
+        "plan's fragmentation does not match the warehouse's clustered "
+        "layout");
+  } else if (options.cancel.ShouldStop()) {
+    // Entry checkpoint: a token tripped before execution starts must
+    // yield the typed status even when the query would be answered
+    // entirely from summaries (the covered path runs no cancellable scan
+    // chunks).
     exec.status = options.cancel.CancelStatus();
-    exec.query_class = plan.query_class();
-    exec.io_class = plan.io_class();
-    return exec;
+  } else {
+    ExecScratch local;
+    ExecScratch& s = scratch != nullptr ? *scratch : local;
+    ResolveBitmapAccesses(query, plan, &s.accesses_);
+    exec = ExecuteFragments(plan, s.accesses_, pool, options);
   }
+  exec.query_class = plan.query_class();
+  exec.io_class = plan.io_class();
+  return exec;
+}
 
-  ExecScratch local;
-  ExecScratch& s = scratch != nullptr ? *scratch : local;
-  ResolveBitmapAccesses(query, plan, &s.accesses_);
-  const std::vector<BitmapAccess>& accesses = s.accesses_;
-  GroupContext gctx;
+MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteFragments(
+    const QueryPlan& plan, const std::vector<BitmapAccess>& accesses,
+    const ThreadPool* pool, const ExecOptions& options) const {
+  GroupContext group;
   GroupAccum group_accum;
   GroupAccum* groups = nullptr;
   if (plan.grouped()) {
-    gctx.grouped = true;
-    gctx.dim = plan.group_by()->dim;
-    gctx.leaves_per = plan.group_leaves_per();
-    gctx.card = plan.group_card();
-    group_accum.Reset(gctx.card);
+    group.grouped = true;
+    group.dim = plan.group_by()->dim;
+    group.leaves_per = plan.group_leaves_per();
+    group.card = plan.group_card();
+    group_accum.Reset(group.card);
     groups = &group_accum;
   }
-  MdhfExecution exec =
-      ClusteredFor(fragmentation)
-          ? ExecuteClustered(plan, accesses, gctx, pool, options, groups)
-          : ExecuteUnclustered(plan, accesses, gctx, pool, options, groups);
+  // A summary run's prefix-sum fold cannot split its rows across groups,
+  // so grouping below the fragmentation level (or on a non-fragmentation
+  // dimension) forces every selected fragment onto the scan path.
+  const bool use_summaries =
+      summaries_enabled_ && (!group.grouped || plan.AlignedGrouping());
+
+  MdhfExecution exec;
+  if (plan.FragmentCount() == 1 && cluster_frag_->num_attrs() > 0) {
+    // Single-fragment fast path (the paper's IOC1-opt shape): the one
+    // fragment id falls out of the slices directly, skipping the odometer
+    // enumeration and its std::function indirection — for a fully-covered
+    // fragment the whole query is then three prefix-sum lookups.
+    FragId id = 0;
+    bool covered = plan.coverable();
+    for (int i = 0; i < cluster_frag_->num_attrs(); ++i) {
+      const std::int64_t c = plan.slice(i).front();
+      MDW_CHECK(c >= 0 && c < cluster_frag_->CardOf(i),
+                "coordinate out of range");  // as FragmentIdOf enforces
+      id = id * cluster_frag_->CardOf(i) + c;
+      covered = covered && plan.covered(i).front();
+    }
+    const auto [begin, end] = FragmentRows(id);
+    if (use_summaries && covered) {
+      const std::int64_t gkey =
+          plan.AlignedGrouping() ? plan.GroupOfFragment(id) : -1;
+      SummaryColumns sums(*this, options.cancel);
+      FoldSummaryRun({begin, end}, sums, &exec, gkey, groups);
+      FoldIo(sums.io, &exec);
+      exec.fragments_summarized = 1;
+    } else if (begin < end && !options.covered_only) {
+      ShardSelection only;
+      only.scan.push_back({begin, end});
+      exec = ExecuteSharded(std::span(&only, 1), accesses, group, pool,
+                            options, groups);
+    }
+    AttributeWorkToFragmentShard(id, &exec);
+  } else {
+    // Directory walk: the plan's fragments are routed to their shards and
+    // map to physical row ranges; within a shard, adjacent selected
+    // fragments coalesce into maximal runs (fragment ids arrive in
+    // ascending allocation order, and the shard's layout is
+    // fragment-major, so per-shard ranges are ascending and disjoint).
+    // Fully-covered fragments split off into summary runs answered from
+    // the prefix sums; residual fragments keep the range-scan + bitmap
+    // path.
+    const std::vector<ShardSelection> selections = RouteSelectionToShards(
+        plan, num_shards_, use_summaries,
+        [&](FragId id) {
+          return shard_of_frag_[static_cast<std::size_t>(id)];
+        },
+        [&](FragId id) {
+          const auto rank = static_cast<std::size_t>(
+              frag_rank_[static_cast<std::size_t>(id)]);
+          return std::pair<std::int64_t, std::int64_t>{frag_offsets_[rank],
+                                                       frag_offsets_[rank + 1]};
+        });
+    exec = ExecuteSharded(selections, accesses, group, pool, options, groups);
+  }
   if (groups != nullptr) exec.groups = groups->Compact();
   exec.degraded = options.covered_only;
-  exec.query_class = plan.query_class();
-  exec.io_class = plan.io_class();
   exec.bitmaps_read = plan.BitmapsPerFragment();
   exec.fragments_processed = plan.FragmentCount();
   return exec;
@@ -888,153 +798,49 @@ void MiniWarehouse::ScanChunk(std::int64_t begin, std::int64_t end,
                               const CancellationToken& cancel,
                               MdhfExecution* partial,
                               GroupAccum* groups) const {
-  if (store_ == nullptr) {
-    RamMeasures m{&units_sold_, &dollar_sales_cents_};
-    if (groups == nullptr) {
-      NoGrouping g;
-      ProcessRows(*indexes_, begin, end, accesses, m, g, partial);
-      return;
-    }
-    const std::vector<std::int64_t>& keys =
-        facts_.columns[static_cast<std::size_t>(group.dim)];
-    const auto leaf = [&keys](std::int64_t row) {
-      return keys[static_cast<std::size_t>(row)];
-    };
-    RowGrouping<decltype(leaf)> g{leaf, group.leaves_per, groups};
-    ProcessRows(*indexes_, begin, end, accesses, m, g, partial);
-    return;
-  }
   storage::SegmentStore::IoCounters io;
-  PagedMeasures m{store_->MakeCursor(store_->ColUnits(), &io, cancel),
-                  store_->MakeCursor(store_->ColDollars(), &io, cancel)};
+  storage::ColumnReader units = OpenColumn(ColUnits(), &io, cancel);
+  storage::ColumnReader dollars = OpenColumn(ColDollars(), &io, cancel);
   if (accesses.empty()) {
     // Unfiltered range: every page will be touched, so read ahead in
     // coalesced runs. Filtered scans skip prefetch — they fault only the
     // pages that actually hold hits.
-    m.units.PrefetchRun(begin, end);
-    m.dollars.PrefetchRun(begin, end);
+    units.PrefetchRun(begin, end);
+    dollars.PrefetchRun(begin, end);
   }
   if (groups == nullptr) {
-    NoGrouping g;
-    ProcessRows(*indexes_, begin, end, accesses, m, g, partial);
+    ProcessRows<false>(*indexes_, begin, end, accesses, units, dollars,
+                       nullptr, 1, nullptr, partial);
   } else {
     // Grouped scans read the group dimension's leaf column through its
-    // own cursor (its I/O and status fold into the same partial).
-    auto key_cursor =
-        store_->MakeCursor(store_->ColDim(group.dim), &io, cancel);
-    if (accesses.empty()) key_cursor.PrefetchRun(begin, end);
-    const auto leaf = [&key_cursor](std::int64_t row) {
-      return key_cursor.At(row);
-    };
-    RowGrouping<decltype(leaf)> g{leaf, group.leaves_per, groups};
-    ProcessRows(*indexes_, begin, end, accesses, m, g, partial);
-    partial->status.Update(key_cursor.status());
+    // own reader (its I/O and status fold into the same partial).
+    storage::ColumnReader keys = OpenColumn(group.dim, &io, cancel);
+    if (accesses.empty()) keys.PrefetchRun(begin, end);
+    ProcessRows<true>(*indexes_, begin, end, accesses, units, dollars, &keys,
+                      group.leaves_per, groups, partial);
+    partial->status.Update(keys.status());
   }
   FoldIo(io, partial);
-  partial->status.Update(m.units.status());
-  partial->status.Update(m.dollars.status());
+  partial->status.Update(units.status());
+  partial->status.Update(dollars.status());
 }
 
-void MiniWarehouse::FoldSummaryRun(const RowRange& run,
-                                   const CancellationToken& cancel,
+void MiniWarehouse::FoldSummaryRun(const RowRange& run, SummaryColumns& sums,
                                    MdhfExecution* exec,
                                    std::int64_t group_key,
                                    GroupAccum* groups) const {
+  const std::int64_t du = sums.units.At(run.end) - sums.units.At(run.begin);
+  const std::int64_t dd =
+      sums.dollars.At(run.end) - sums.dollars.At(run.begin);
   exec->result.rows += run.rows();
   exec->rows_summarized += run.rows();
-  if (store_ == nullptr) {
-    const auto b = static_cast<std::size_t>(run.begin);
-    const auto e = static_cast<std::size_t>(run.end);
-    const std::int64_t du = units_prefix_[e] - units_prefix_[b];
-    const std::int64_t dd = dollars_prefix_[e] - dollars_prefix_[b];
-    exec->result.units_sold += du;
-    exec->result.dollar_sales_cents += dd;
-    if (groups != nullptr && group_key >= 0) {
-      groups->TallySummary(group_key, run.rows(), du, dd);
-    }
-    return;
-  }
-  // File-backed: the prefix-sum columns answer the covered run from at
-  // most two pages per measure.
-  storage::SegmentStore::IoCounters io;
-  auto units = store_->MakeCursor(store_->ColUnitsPrefix(), &io, cancel);
-  auto dollars = store_->MakeCursor(store_->ColDollarsPrefix(), &io, cancel);
-  const std::int64_t du = units.At(run.end) - units.At(run.begin);
-  const std::int64_t dd = dollars.At(run.end) - dollars.At(run.begin);
   exec->result.units_sold += du;
   exec->result.dollar_sales_cents += dd;
   if (groups != nullptr && group_key >= 0) {
     groups->TallySummary(group_key, run.rows(), du, dd);
   }
-  FoldIo(io, exec);
-  exec->status.Update(units.status());
-  exec->status.Update(dollars.status());
-}
-
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteClustered(
-    const QueryPlan& plan, const std::vector<BitmapAccess>& accesses,
-    const GroupContext& group, const ThreadPool* pool,
-    const ExecOptions& options, GroupAccum* groups) const {
-  // A summary run's prefix-sum fold cannot split its rows across groups,
-  // so grouping below the fragmentation level (or on a non-fragmentation
-  // dimension) forces every selected fragment onto the scan path.
-  const bool use_summaries =
-      summaries_enabled_ && (!group.grouped || plan.AlignedGrouping());
-
-  // Single-fragment fast path (the paper's IOC1-opt shape): the one
-  // fragment id falls out of the slices directly, skipping the odometer
-  // enumeration and its std::function indirection — for a fully-covered
-  // fragment the whole query is then three prefix-sum lookups.
-  if (plan.FragmentCount() == 1 && cluster_frag_->num_attrs() > 0) {
-    FragId id = 0;
-    bool covered = plan.coverable();
-    for (int i = 0; i < cluster_frag_->num_attrs(); ++i) {
-      const std::int64_t c = plan.slice(i).front();
-      MDW_CHECK(c >= 0 && c < cluster_frag_->CardOf(i),
-                "coordinate out of range");  // as FragmentIdOf enforces
-      id = id * cluster_frag_->CardOf(i) + c;
-      covered = covered && plan.covered(i).front();
-    }
-    const auto rank =
-        static_cast<std::size_t>(frag_rank_[static_cast<std::size_t>(id)]);
-    const std::int64_t begin = frag_offsets_[rank];
-    const std::int64_t end = frag_offsets_[rank + 1];
-    MdhfExecution exec;
-    if (use_summaries && covered) {
-      const std::int64_t gkey =
-          plan.AlignedGrouping() ? plan.GroupOfFragment(id) : -1;
-      FoldSummaryRun({begin, end}, options.cancel, &exec, gkey, groups);
-      exec.fragments_summarized = 1;
-    } else if (begin < end && !options.covered_only) {
-      exec = RunChunks({{begin, end}}, pool, options.cancel, group.card,
-                       groups,
-                       [&](const RowRange& c, MdhfExecution* partial,
-                           GroupAccum* g) {
-                         ScanChunk(c.begin, c.end, accesses, group,
-                                   options.cancel, partial, g);
-                       });
-    }
-    AttributeWorkToFragmentShard(id, &exec);
-    return exec;
-  }
-
-  // Directory walk: the plan's fragments are routed to their shards and
-  // map to physical row ranges; within a shard, adjacent selected
-  // fragments coalesce into maximal runs (fragment ids arrive in
-  // ascending allocation order, and the shard's layout is fragment-major,
-  // so per-shard ranges are ascending and disjoint). Fully-covered
-  // fragments split off into summary runs answered from the prefix sums;
-  // residual fragments keep the range-scan + bitmap path.
-  const std::vector<ShardSelection> selections = RouteSelectionToShards(
-      plan, num_shards_, use_summaries,
-      [&](FragId id) { return shard_of_frag_[static_cast<std::size_t>(id)]; },
-      [&](FragId id) {
-        const auto rank = static_cast<std::size_t>(
-            frag_rank_[static_cast<std::size_t>(id)]);
-        return std::pair<std::int64_t, std::int64_t>{frag_offsets_[rank],
-                                                     frag_offsets_[rank + 1]};
-      });
-  return ExecuteSharded(selections, accesses, group, pool, options, groups);
+  sums.units.EndRun(&exec->status);
+  sums.dollars.EndRun(&exec->status);
 }
 
 void MiniWarehouse::AttributeWorkToFragmentShard(FragId id,
@@ -1053,7 +859,7 @@ void MiniWarehouse::AttributeWorkToFragmentShard(FragId id,
 }
 
 MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteSharded(
-    const std::vector<ShardSelection>& selections,
+    std::span<const ShardSelection> selections,
     const std::vector<BitmapAccess>& accesses, const GroupContext& group,
     const ThreadPool* pool, const ExecOptions& options,
     GroupAccum* groups) const {
@@ -1061,63 +867,57 @@ MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteSharded(
   // lane across all shards), so stealing has granularity even when one
   // shard holds most of the work. Covered-only degraded execution drops
   // the scan side entirely — residual fragments are skipped, not
-  // partially scanned — leaving just the summary folds below.
+  // partially scanned — leaving just the summary folds below. Chunks are
+  // shard-major: shard s owns chunks [first[s], first[s + 1]).
   const int lanes = pool == nullptr ? 1 : pool->size() + 1;
   std::int64_t total_scan = 0;
   for (const auto& sel : selections) total_scan += sel.ScanRows();
   const std::int64_t grain = ChunkGrain(total_scan, lanes);
-  std::vector<std::vector<RowRange>> chunks(selections.size());
-  std::vector<std::int64_t> queue_sizes(selections.size(), 0);
-  std::vector<std::size_t> slot_base(selections.size(), 0);
-  std::size_t total_chunks = 0;
+  std::vector<RowRange> chunks;
+  std::vector<std::size_t> first(selections.size() + 1, 0);
   for (std::size_t s = 0; s < selections.size(); ++s) {
-    if (!options.covered_only) {
-      CutRanges(selections[s].scan, grain, &chunks[s]);
-    }
-    queue_sizes[s] = static_cast<std::int64_t>(chunks[s].size());
-    slot_base[s] = total_chunks;
-    total_chunks += chunks[s].size();
+    if (!options.covered_only) CutRanges(selections[s].scan, grain, &chunks);
+    first[s + 1] = chunks.size();
   }
 
   // One private partial per chunk; affinity tasks (one queue per shard,
   // idle lanes steal) or a serial loop fill them, and the merge below is
   // the only point that reads them — in fixed (shard, chunk) order, so
   // the record is bit-identical at any worker count.
-  std::vector<MdhfExecution> partials(total_chunks);
+  std::vector<MdhfExecution> partials(chunks.size());
   // Grouped runs mirror the scan partials with per-chunk group
   // accumulators merged below — element-wise integer sums, so the merge
   // order never changes the grouped result.
   std::vector<GroupAccum> gpartials;
   if (groups != nullptr) {
-    gpartials.resize(total_chunks);
+    gpartials.resize(chunks.size());
     for (auto& g : gpartials) g.Reset(group.card);
   }
+  const auto scan = [&](std::size_t slot) {
+    ScanChunk(chunks[slot].begin, chunks[slot].end, accesses, group,
+              options.cancel, &partials[slot],
+              groups == nullptr ? nullptr : &gpartials[slot]);
+  };
   bool all_ran = true;
-  if (pool != nullptr && total_chunks >= 2) {
+  if (pool != nullptr && chunks.size() >= 2) {
+    std::vector<std::int64_t> queue_sizes(selections.size());
+    for (std::size_t s = 0; s < selections.size(); ++s) {
+      queue_sizes[s] = static_cast<std::int64_t>(first[s + 1] - first[s]);
+    }
     all_ran = pool->ParallelForQueues(
         queue_sizes,
         [&](int s, std::int64_t c) {
-          const auto su = static_cast<std::size_t>(s);
-          const std::size_t slot =
-              slot_base[su] + static_cast<std::size_t>(c);
-          const RowRange& r = chunks[su][static_cast<std::size_t>(c)];
-          ScanChunk(r.begin, r.end, accesses, group, options.cancel,
-                    &partials[slot],
-                    groups == nullptr ? nullptr : &gpartials[slot]);
+          scan(first[static_cast<std::size_t>(s)] +
+               static_cast<std::size_t>(c));
         },
         options.cancel);
   } else {
-    for (std::size_t s = 0; s < chunks.size() && all_ran; ++s) {
-      for (std::size_t c = 0; c < chunks[s].size(); ++c) {
-        if (options.cancel.ShouldStop()) {
-          all_ran = false;
-          break;
-        }
-        const std::size_t slot = slot_base[s] + c;
-        ScanChunk(chunks[s][c].begin, chunks[s][c].end, accesses, group,
-                  options.cancel, &partials[slot],
-                  groups == nullptr ? nullptr : &gpartials[slot]);
+    for (std::size_t slot = 0; slot < chunks.size(); ++slot) {
+      if (options.cancel.ShouldStop()) {
+        all_ran = false;
+        break;
       }
+      scan(slot);
     }
   }
   for (const auto& g : gpartials) groups->Merge(g);
@@ -1130,24 +930,23 @@ MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteSharded(
   if (sharded) {
     exec.shards.assign(static_cast<std::size_t>(num_shards_), {});
   }
+  std::optional<SummaryColumns> sums;  // opened at the first summary run
   for (std::size_t s = 0; s < selections.size(); ++s) {
     const ShardSelection& sel = selections[s];
     ShardWork work;
     work.fragments = sel.fragments;
     work.fragments_summarized = sel.fragments_covered;
-    for (std::size_t c = 0; c < chunks[s].size(); ++c) {
-      const MdhfExecution& p = partials[slot_base[s] + c];
+    for (std::size_t slot = first[s]; slot < first[s + 1]; ++slot) {
+      const MdhfExecution& p = partials[slot];
       MergeScanPartial(p, &exec);
       work.rows_scanned += p.rows_scanned;
       work.pages_read += p.pages_read;
       work.buffer_hits += p.buffer_hits;
       work.bytes_read += p.bytes_read;
     }
-    // Summary runs fold io into the totals; attribute the delta to this
-    // shard so the per-shard split keeps summing to the totals.
-    const std::int64_t pages0 = exec.pages_read;
-    const std::int64_t hits0 = exec.buffer_hits;
-    const std::int64_t bytes0 = exec.bytes_read;
+    if (!sel.summary.empty() && !sums.has_value()) {
+      sums.emplace(*this, options.cancel);
+    }
     for (std::size_t r = 0; r < sel.summary.size(); ++r) {
       // A tripped token abandons the remaining summary folds too — the
       // typed status below tells the caller the record is incomplete.
@@ -1156,129 +955,22 @@ MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteSharded(
         break;
       }
       const RowRange& run = sel.summary[r];
-      FoldSummaryRun(run, options.cancel, &exec, sel.summary_group[r],
-                     groups);
+      FoldSummaryRun(run, *sums, &exec, sel.summary_group[r], groups);
       work.rows_summarized += run.rows();
     }
-    work.pages_read += exec.pages_read - pages0;
-    work.buffer_hits += exec.buffer_hits - hits0;
-    work.bytes_read += exec.bytes_read - bytes0;
+    if (sums.has_value()) {
+      // The shard's summary I/O goes to its split and to the totals.
+      work.pages_read += sums->io.pages_read;
+      work.buffer_hits += sums->io.buffer_hits;
+      work.bytes_read += sums->io.bytes_read;
+      FoldIo(sums->io, &exec);
+      sums->io = {};
+    }
     exec.fragments_summarized += sel.fragments_covered;
     if (sharded) exec.shards[s] = work;
   }
   if (!all_ran) exec.status.Update(options.cancel.CancelStatus());
   return exec;
-}
-
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteUnclustered(
-    const QueryPlan& plan, const std::vector<BitmapAccess>& accesses,
-    const GroupContext& group, const ThreadPool* pool,
-    const ExecOptions& options, GroupAccum* groups) const {
-  const Fragmentation& fragmentation = plan.fragmentation();
-
-  // Sorted fragment membership (ForEachFragment enumerates ascending ids);
-  // when the plan covers every fragment the per-row mapping is skipped.
-  std::vector<FragId> frag_ids;
-  plan.ForEachFragment([&](FragId id) { frag_ids.push_back(id); });
-  const bool all_fragments =
-      static_cast<std::int64_t>(frag_ids.size()) ==
-      fragmentation.FragmentCount();
-
-  // Bitmap filter for the predicates the plan marks as needing bitmaps;
-  // all-ones when none do (Q1/Q3: fragment membership is the filter).
-  // Built full-width once, shared read-only by all workers.
-  BitVector filter(row_count());
-  filter.SetAll();
-  for (const auto& a : accesses) {
-    BitVector pred_rows(row_count());
-    for (const auto value : a.pred->values) {
-      if (a.same_ancestor) {
-        pred_rows |= indexes_->SelectWithinFragment(a.pred->dim, a.pred->depth,
-                                                    value, a.frag_depth);
-      } else {
-        pred_rows |= indexes_->Select(a.pred->dim, a.pred->depth, value);
-      }
-    }
-    filter &= pred_rows;
-  }
-
-  // Per-depth ancestor probes, resolved once per query: the fragment id of
-  // a row is the mixed-radix combination of leaf / LeavesPer(frag depth)
-  // over the fragmentation attributes, read straight from the fact
-  // columns (or their segment pages) — no per-row temporaries
-  // (FragmentOfRow would build a coordinate vector per row).
-  struct FragProbe {
-    DimId dim;
-    std::int64_t leaves_per;  ///< leaf values per fragmentation-level value
-    std::int64_t card;        ///< attribute cardinality (radix)
-  };
-  std::vector<FragProbe> probes;
-  probes.reserve(static_cast<std::size_t>(fragmentation.num_attrs()));
-  for (int i = 0; i < fragmentation.num_attrs(); ++i) {
-    const FragAttr& a = fragmentation.attr(i);
-    const auto& h = schema_.dimension(a.dim).hierarchy();
-    probes.push_back({a.dim, h.LeavesPer(a.depth), fragmentation.CardOf(i)});
-  }
-
-  return RunChunks({{0, row_count()}}, pool, options.cancel, group.card,
-                   groups,
-                   [&](const RowRange& chunk, MdhfExecution* partial,
-                       GroupAccum* gacc) {
-    if (store_ == nullptr) {
-      const auto probe_leaf = [&](std::size_t p, std::int64_t row) {
-        return facts_.columns[static_cast<std::size_t>(probes[p].dim)]
-                             [static_cast<std::size_t>(row)];
-      };
-      RamMeasures m{&units_sold_, &dollar_sales_cents_};
-      if (gacc == nullptr) {
-        NoGrouping g;
-        UnclusteredChunk(chunk, probes, probe_leaf, frag_ids, all_fragments,
-                         filter, m, g, partial);
-        return;
-      }
-      const std::vector<std::int64_t>& keys =
-          facts_.columns[static_cast<std::size_t>(group.dim)];
-      const auto leaf = [&keys](std::int64_t row) {
-        return keys[static_cast<std::size_t>(row)];
-      };
-      RowGrouping<decltype(leaf)> g{leaf, group.leaves_per, gacc};
-      UnclusteredChunk(chunk, probes, probe_leaf, frag_ids, all_fragments,
-                       filter, m, g, partial);
-      return;
-    }
-    storage::SegmentStore::IoCounters io;
-    std::vector<storage::SegmentStore::Cursor> cursors;
-    cursors.reserve(probes.size());
-    for (const auto& p : probes) {
-      cursors.push_back(
-          store_->MakeCursor(store_->ColDim(p.dim), &io, options.cancel));
-    }
-    const auto probe_leaf = [&](std::size_t p, std::int64_t row) {
-      return cursors[p].At(row);
-    };
-    PagedMeasures m{
-        store_->MakeCursor(store_->ColUnits(), &io, options.cancel),
-        store_->MakeCursor(store_->ColDollars(), &io, options.cancel)};
-    if (gacc == nullptr) {
-      NoGrouping g;
-      UnclusteredChunk(chunk, probes, probe_leaf, frag_ids, all_fragments,
-                       filter, m, g, partial);
-    } else {
-      auto key_cursor =
-          store_->MakeCursor(store_->ColDim(group.dim), &io, options.cancel);
-      const auto leaf = [&key_cursor](std::int64_t row) {
-        return key_cursor.At(row);
-      };
-      RowGrouping<decltype(leaf)> g{leaf, group.leaves_per, gacc};
-      UnclusteredChunk(chunk, probes, probe_leaf, frag_ids, all_fragments,
-                       filter, m, g, partial);
-      partial->status.Update(key_cursor.status());
-    }
-    FoldIo(io, partial);
-    for (auto& c : cursors) partial->status.Update(c.status());
-    partial->status.Update(m.units.status());
-    partial->status.Update(m.dollars.status());
-  });
 }
 
 }  // namespace mdw

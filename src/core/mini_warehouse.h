@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -13,34 +14,42 @@
 #include "core/result_table.h"
 #include "fragment/query_planner.h"
 #include "fragment/shard_routing.h"
+#include "storage/column_reader.h"
 #include "storage/segment_store.h"
 
 namespace mdw {
 
 class ThreadPool;
 
-/// A fully materialised, in-memory star warehouse at a scale small enough
-/// to hold every fact row. It executes star queries three ways — full
-/// scan, bitmap-index path, and MDHF fragment-confined path — and is the
+/// A fully materialised star warehouse at a scale small enough to hold
+/// every fact row. It executes star queries three ways — full scan,
+/// bitmap-index path, and MDHF fragment-confined path — and is the
 /// functional ground truth validating that the fragmentation/planner/index
 /// machinery computes exactly the rows a full scan computes. (The
 /// full-scale APB-1 configuration is only ever *simulated*; see
 /// sim/simulator.h.)
 ///
-/// Physical layout: the clustered constructor permutes the fact columns
-/// (and measure vectors) into *fragment-major* order of an MDHF
+/// Physical layout: the constructor permutes the fact columns (and
+/// measure vectors) into *fragment-major* order of one MDHF
 /// fragmentation — the paper's clustering property (Sec. 4.5) made
 /// physical — and keeps a FragId -> [row_begin, row_end) directory, so
 /// fragment-confined execution touches only the plan's row ranges
 /// (O(selected rows)) and can process ranges as parallel partitions.
-/// It additionally builds inclusive prefix sums over the measure columns
-/// in that physical order, so a run of *fully-covered* fragments [b, e)
-/// (every row a hit, per the plan's coverage classification) is answered
-/// as P[e] - P[b] without touching the fact columns at all — O(residual
-/// rows) instead of O(selected rows).
+/// Plans must come from a fragmentation matching that layout; any other
+/// plan is refused with kInvalidArgument. The warehouse optionally builds
+/// inclusive prefix sums over the measure columns in that physical order,
+/// so a run of *fully-covered* fragments [b, e) (every row a hit, per the
+/// plan's coverage classification) is answered as P[e] - P[b] without
+/// touching the fact columns at all — O(residual rows) instead of
+/// O(selected rows).
+///
+/// Storage: the columns live in RAM or in per-shard segment files behind
+/// a buffer pool. Every kernel reads them through storage::ColumnReader,
+/// which hands out blocks (the whole column when resident, one pinned
+/// page when paged); OpenColumn() is the one place that picks the source.
 ///
 /// Sharding (the paper's disk allocation made physical): with
-/// `num_shards` > 1 the clustered constructor consults a DiskAllocation
+/// `num_shards` > 1 the constructor consults a DiskAllocation
 /// (round robin with optional round_gap/cluster_factor, one "disk" per
 /// shard) and lays the store out *shard-major*: each shard owns a
 /// contiguous region of the permuted columns/measures/prefix sums holding
@@ -116,40 +125,41 @@ class MiniWarehouse {
 
   /// Per-execution controls threaded through the MDHF paths.
   struct ExecOptions {
+    // User-provided, so `= {}` can default an ExecuteWithPlan argument
+    // while MiniWarehouse is still incomplete.
+    ExecOptions() {}
+
     /// Cooperative cancellation: polled at chunk boundaries (a tripped
     /// token abandons the remaining chunks and the execution surfaces
     /// the token's typed status) and passed to the buffer pool so retry
     /// backoff never sleeps past the query's deadline. The
     /// default-constructed (unarmed) token never trips and costs one
-    /// null check per chunk — results stay bit-identical to the
-    /// option-less overloads.
+    /// null check per chunk — results stay bit-identical to an
+    /// execution without options.
     CancellationToken cancel;
     /// Degraded covered-only execution: answer ONLY the fully-covered
     /// fragments from the measure prefix sums and skip every residual
     /// scan. The result is flagged `degraded` — a correct aggregate of
     /// a *subset* of the query's fragments, never a partial scan of a
-    /// fragment. Requires summaries over a matching clustered layout.
+    /// fragment. Requires summaries (and fragmentation-aligned grouping).
     bool covered_only = false;
   };
 
   /// Populates the fact table by sampling each possible dimension-value
   /// combination independently with probability schema.density() (the
-  /// APB-1 density semantics), and builds all bitmap join indices. Rows
-  /// stay in generation (odometer) order; MDHF execution falls back to a
-  /// per-row fragment-membership scan.
-  MiniWarehouse(StarSchema schema, std::uint64_t seed);
-
-  /// Same population, then clusters the physical layout fragment-major
-  /// under the MDHF fragmentation given by `cluster_attrs` (empty attrs =
-  /// the degenerate single-fragment clustering). Plans derived from a
+  /// APB-1 density semantics), clusters the physical layout
+  /// fragment-major under the MDHF fragmentation given by `cluster_attrs`
+  /// (stable within a fragment; empty attrs = the degenerate
+  /// single-fragment clustering, which keeps generation order), and
+  /// builds all bitmap join indices over that order. Plans derived from a
   /// fragmentation with the same attributes execute fragment-confined via
   /// the row-range directory. `enable_summaries` additionally builds the
   /// measure prefix sums so fully-covered fragments are answered without
-  /// scanning rows (false = PR 3 behaviour, for A/B comparisons).
-  /// `num_shards` > 1 splits the store into that many physical shards
-  /// under `allocation` (num_disks is overridden by num_shards; bitmap
-  /// placement is irrelevant to the in-memory store) — see the class
-  /// comment for the layout and scheduling consequences.
+  /// scanning rows (false = scan every selected fragment, for A/B
+  /// comparisons). `num_shards` > 1 splits the store into that many
+  /// physical shards under `allocation` (num_disks is overridden by
+  /// num_shards; bitmap placement is irrelevant to the store) — see the
+  /// class comment for the layout and scheduling consequences.
   ///
   /// `storage` with a non-empty path switches the store to file-backed
   /// mode: each shard's columns, measures, and prefix-sum summaries are
@@ -183,34 +193,29 @@ class MiniWarehouse {
 
   /// ---- Clustered-layout introspection ----
 
-  bool clustered() const { return cluster_frag_ != nullptr; }
   /// True iff the measure prefix sums exist, i.e. fully-covered fragments
   /// are answered from summaries instead of row scans.
   bool summaries_enabled() const { return summaries_enabled_; }
-  /// The clustering fragmentation, or nullptr for generation order.
-  const Fragmentation* cluster_fragmentation() const {
-    return cluster_frag_.get();
-  }
+  /// The clustering fragmentation (owned by this warehouse, over its
+  /// schema()).
+  const Fragmentation& cluster_fragmentation() const { return *cluster_frag_; }
   /// True iff `fragmentation` matches the clustered layout (same schema
-  /// object, same attribute list), i.e. plans derived from it can use the
-  /// fragment directory.
+  /// object, same attribute list), i.e. plans derived from it can run
+  /// here.
   bool ClusteredFor(const Fragmentation& fragmentation) const;
-  /// Physical row range [begin, end) of fragment `id` in the clustered
-  /// layout; aborts when not clustered.
+  /// Physical row range [begin, end) of fragment `id`.
   std::pair<std::int64_t, std::int64_t> FragmentRows(FragId id) const;
 
   /// ---- Sharded-layout introspection ----
 
-  /// Number of physical shards (1 = unsharded, also for the
-  /// generation-order constructor).
+  /// Number of physical shards (1 = unsharded).
   int num_shards() const { return num_shards_; }
   /// The allocation mapping fragments to shards, or nullptr when
   /// num_shards() == 1.
   const DiskAllocation* shard_allocation() const {
     return shard_alloc_.get();
   }
-  /// Shard owning fragment `id` (always 0 when unsharded); aborts when
-  /// not clustered.
+  /// Shard owning fragment `id` (always 0 when unsharded).
   int ShardOfFragment(FragId id) const;
   /// Contiguous physical row region [begin, end) of shard `s`.
   std::pair<std::int64_t, std::int64_t> ShardRows(int s) const;
@@ -290,8 +295,7 @@ class MiniWarehouse {
     std::int64_t rows_scanned = 0;
     /// Fully-covered fragments answered from the measure prefix sums
     /// (empty ones included), and the rows they contributed without being
-    /// scanned. Zero when summaries are disabled or the layout fell back
-    /// to the membership scan.
+    /// scanned. Zero when summaries are disabled.
     std::int64_t fragments_summarized = 0;
     std::int64_t rows_summarized = 0;
     /// File-backed I/O of this execution (all-zero for an in-RAM store,
@@ -306,8 +310,10 @@ class MiniWarehouse {
     std::int64_t pages_read = 0;
     std::int64_t buffer_hits = 0;
     std::int64_t bytes_read = 0;
-    /// First storage error this execution hit (ok for an in-RAM store and
-    /// for every fault-free file-backed run). When not ok, `result` is
+    /// First error this execution hit: kInvalidArgument for a plan whose
+    /// fragmentation does not match the clustered layout (nothing ran),
+    /// a cancellation status, or a storage error (never for an in-RAM
+    /// store or a fault-free file-backed run). When not ok, `result` is
     /// NOT trustworthy — the failed cursor answered zeros so the kernels
     /// could run to completion — and the caller must discard it (the
     /// Warehouse layer nulls the aggregate). Partials merge in fixed
@@ -333,8 +339,7 @@ class MiniWarehouse {
     QueryClass query_class = QueryClass::kUnsupported;
     IoClass io_class = IoClass::kIoc2NoSupp;
     /// Per-shard work split, index = shard id. Populated only by sharded
-    /// clustered execution (num_shards > 1 and the plan matched the
-    /// layout); empty otherwise, so unsharded records are unchanged.
+    /// execution (num_shards > 1); empty otherwise.
     std::vector<ShardWork> shards;
 
     /// Skew of the shard work split: max/mean BusyWork over the shards
@@ -345,49 +350,29 @@ class MiniWarehouse {
     friend bool operator==(const MdhfExecution& a,
                            const MdhfExecution& b) = default;
   };
-  /// Compatibility entry point: derives the plan internally, then
-  /// delegates to the plan-accepting overload below (one extra
-  /// QueryPlanner::Plan call per query — the plan-first pipeline through
-  /// mdw::Warehouse avoids it).
-  MdhfExecution ExecuteWithFragmentation(
-      const StarQuery& query, const Fragmentation& fragmentation) const;
-
-  /// Plan-first entry point: executes `query` under `plan` (derived by the
+  /// The MDHF execution: runs `query` under `plan` (derived by the
   /// caller, typically once per batch through Warehouse's plan cache)
-  /// without re-planning. The plan's fragmentation must belong to this
-  /// warehouse's schema. When the plan's fragmentation matches the
-  /// clustered layout, execution walks the fragment directory and touches
-  /// only the plan's row ranges; otherwise it falls back to a full scan
-  /// with per-row fragment membership tests.
-  MdhfExecution ExecuteWithPlan(const StarQuery& query,
-                                const QueryPlan& plan) const;
-
-  /// Partition-parallel overload: splits the plan's row ranges (or, on the
-  /// fallback path, the whole table) into tasks executed on `pool`, each
-  /// accumulating a private partial aggregate; partials are merged at the
-  /// end, so the result — counters included — is identical for any worker
-  /// count (and to the serial overload). `pool == nullptr` runs serially.
-  MdhfExecution ExecuteWithPlan(const StarQuery& query, const QueryPlan& plan,
-                                const ThreadPool* pool) const;
-
-  /// Like above, reusing `scratch`'s buffers instead of allocating per
-  /// query (nullptr = allocate locally). Batch drivers pass one scratch
-  /// across their whole loop.
-  MdhfExecution ExecuteWithPlan(const StarQuery& query, const QueryPlan& plan,
-                                const ThreadPool* pool,
-                                ExecScratch* scratch) const;
-
-  /// Full-control overload: additionally threads `options` (cooperative
-  /// cancellation, covered-only degradation) through the execution. With
-  /// default options this is exactly the overload above. When
-  /// options.cancel trips mid-execution the remaining chunks are
-  /// abandoned and the record's status carries the token's typed error
+  /// without re-planning. The plan's fragmentation must match the
+  /// clustered layout (ClusteredFor); any other plan returns a record
+  /// whose status is kInvalidArgument and which ran nothing. Execution
+  /// walks the fragment directory and touches only the plan's row ranges.
+  ///
+  /// `pool` splits those ranges into tasks, each accumulating a private
+  /// partial that is merged in fixed order, so the record — counters
+  /// included — is identical for any worker count (nullptr = serial).
+  /// `scratch` reuses its buffers instead of allocating per query
+  /// (nullptr = allocate locally); batch drivers pass one scratch across
+  /// their loop. `options` threads cooperative cancellation and
+  /// covered-only degradation through the execution: when options.cancel
+  /// trips mid-execution the remaining chunks are abandoned and the
+  /// record's status carries the token's typed error
   /// (kDeadlineExceeded/kCancelled) — the result must be discarded, as
   /// for a storage error; a token that trips only after the last chunk
   /// finished leaves the (complete, correct) record untouched.
   MdhfExecution ExecuteWithPlan(const StarQuery& query, const QueryPlan& plan,
-                                const ThreadPool* pool, ExecScratch* scratch,
-                                const ExecOptions& options) const;
+                                const ThreadPool* pool = nullptr,
+                                ExecScratch* scratch = nullptr,
+                                const ExecOptions& options = {}) const;
 
  private:
   void Populate(std::uint64_t seed);
@@ -397,43 +382,73 @@ class MiniWarehouse {
   /// opens them behind the buffer pool, and drops the in-RAM columns.
   void BuildPagedStore(std::uint64_t seed,
                        const storage::StoreOptions& options);
+  /// Column ids, in the order both sources hold them (the segment's
+  /// on-disk order): dimension d is column d, then the two measures and
+  /// the two measure prefix sums.
+  int ColUnits() const { return schema_.num_dimensions(); }
+  int ColDollars() const { return ColUnits() + 1; }
+  int ColUnitsPrefix() const { return ColUnits() + 2; }
+  int ColDollarsPrefix() const { return ColUnits() + 3; }
+  /// A block reader over `column`: its resident block, or a buffer-pool
+  /// cursor attributing its I/O into `io` and capping pin retries by
+  /// `cancel` in file-backed mode. The only place that picks the source.
+  storage::ColumnReader OpenColumn(int column,
+                                   storage::SegmentStore::IoCounters* io,
+                                   const CancellationToken& cancel) const;
+  /// The reference full scan behind ExecuteFullScan{,Grouped}: matches
+  /// each row against the predicates through the hierarchies and, with
+  /// `groups` non-null, tallies it under its `group_by` key.
+  AggregateResult FullScan(const StarQuery& query, const GroupBy* group_by,
+                           GroupAccum* groups) const;
   void ResolveBitmapAccesses(const StarQuery& query, const QueryPlan& plan,
                              std::vector<BitmapAccess>* out) const;
+  /// ExecuteWithPlan past its checks: the single-fragment fast path or
+  /// the routed directory walk, then the record's plan-derived facts.
+  MdhfExecution ExecuteFragments(const QueryPlan& plan,
+                                 const std::vector<BitmapAccess>& accesses,
+                                 const ThreadPool* pool,
+                                 const ExecOptions& options) const;
   /// Aggregates rows [begin, end) of the clustered layout under the
   /// accesses' bitmap filters (evaluated over the range only), reading
-  /// measures from RAM or through per-chunk buffer-pool cursors
-  /// (file-backed mode, which also attributes the chunk's I/O into
-  /// `partial`). One call per scan chunk; safe to run concurrently.
-  /// With `groups` non-null every hit is additionally tallied into its
-  /// per-row group key (group.dim leaf / group.leaves_per).
+  /// the columns through per-chunk readers (which, file-backed, also
+  /// attribute the chunk's I/O into `partial`). One call per scan chunk;
+  /// safe to run concurrently. With `groups` non-null every hit is
+  /// additionally tallied into its per-row group key (group.dim leaf /
+  /// group.leaves_per).
   void ScanChunk(std::int64_t begin, std::int64_t end,
                  const std::vector<BitmapAccess>& accesses,
                  const GroupContext& group, const CancellationToken& cancel,
                  MdhfExecution* partial, GroupAccum* groups) const;
-  MdhfExecution ExecuteClustered(const QueryPlan& plan,
-                                 const std::vector<BitmapAccess>& accesses,
-                                 const GroupContext& group,
-                                 const ThreadPool* pool,
-                                 const ExecOptions& options,
-                                 GroupAccum* groups) const;
   /// Executes routed per-shard selections: affinity tasks + stealing on
   /// `pool` (serial in shard order without one), fixed-order merge.
-  MdhfExecution ExecuteSharded(const std::vector<ShardSelection>& shards,
+  /// Selection s reports as shard s.
+  MdhfExecution ExecuteSharded(std::span<const ShardSelection> selections,
                                const std::vector<BitmapAccess>& accesses,
                                const GroupContext& group,
                                const ThreadPool* pool,
                                const ExecOptions& options,
                                GroupAccum* groups) const;
-  MdhfExecution ExecuteUnclustered(const QueryPlan& plan,
-                                   const std::vector<BitmapAccess>& accesses,
-                                   const GroupContext& group,
-                                   const ThreadPool* pool,
-                                   const ExecOptions& options,
-                                   GroupAccum* groups) const;
-  /// Folds a summary run [begin, end) into exec from the prefix sums.
-  /// With `groups` non-null the run is additionally credited to
-  /// `group_key` (aligned grouped plans: the whole run lies in one group).
-  void FoldSummaryRun(const RowRange& run, const CancellationToken& cancel,
+  /// The prefix-sum readers one execution folds all its summary runs
+  /// through, and the I/O they accrue (the caller folds `io` into its
+  /// record). Built in place: the readers point at `io`.
+  struct SummaryColumns {
+    SummaryColumns(const MiniWarehouse& wh, const CancellationToken& cancel)
+        : units(wh.OpenColumn(wh.ColUnitsPrefix(), &io, cancel)),
+          dollars(wh.OpenColumn(wh.ColDollarsPrefix(), &io, cancel)) {}
+    SummaryColumns(const SummaryColumns&) = delete;
+    SummaryColumns& operator=(const SummaryColumns&) = delete;
+
+    storage::SegmentStore::IoCounters io;
+    storage::ColumnReader units;
+    storage::ColumnReader dollars;
+  };
+  /// Folds a summary run [begin, end) into exec from the prefix sums:
+  /// two values per measure, read through `sums`, whose readers then
+  /// start over for the next run (file-backed runs pin pages exactly as
+  /// readers opened per run would). With `groups` non-null the run is
+  /// additionally credited to `group_key` (aligned grouped plans: the
+  /// whole run lies in one group).
+  void FoldSummaryRun(const RowRange& run, SummaryColumns& sums,
                       MdhfExecution* exec, std::int64_t group_key = -1,
                       GroupAccum* groups = nullptr) const;
   /// Fills exec->shards by attributing the record's entire work to the
@@ -449,12 +464,14 @@ class MiniWarehouse {
   std::vector<std::int64_t> units_sold_;
   std::vector<std::int64_t> dollar_sales_cents_;
   std::unique_ptr<IndexSet> indexes_;
+  /// Every column as one resident block, by column id; empty once
+  /// file-backed.
+  std::vector<storage::ColumnBlock> resident_;
   /// File-backed mode: the page-aligned segment files and their buffer
   /// pool; nullptr for the in-RAM store.
   std::unique_ptr<storage::SegmentStore> store_;
 
-  /// Clustered layout (nullptr/empty when rows are in generation order):
-  /// rows of fragment f occupy [frag_offsets_[r], frag_offsets_[r+1])
+  /// Clustered layout: rows of fragment f occupy [frag_offsets_[r], frag_offsets_[r+1])
   /// where r = frag_rank_[f], the fragment's position in shard-major
   /// order (identity when unsharded, so ranks == ids).
   std::unique_ptr<Fragmentation> cluster_frag_;
@@ -471,7 +488,7 @@ class MiniWarehouse {
 
   /// Measure prefix sums in clustered row order (size row_count() + 1,
   /// P[0] = 0): sum over physical rows [b, e) is P[e] - P[b]. Built only
-  /// by the clustered constructor with summaries enabled.
+  /// with summaries enabled.
   bool summaries_enabled_ = false;
   std::vector<std::int64_t> units_prefix_;
   std::vector<std::int64_t> dollars_prefix_;

@@ -66,14 +66,25 @@ std::shared_ptr<const QueryPlan> Warehouse::PlanShared(
   return plan_cache_->GetOrPlan(query, *planner_);
 }
 
+QueryOutcome Warehouse::Rejected(Status status) const {
+  QueryOutcome outcome;
+  outcome.backend = backend_->kind();
+  outcome.status = std::move(status);
+  return outcome;
+}
+
 QueryOutcome Warehouse::Execute(const StarQuery& query) const {
+  if (Status s = query.Validate(*schema_); !s.ok()) {
+    return Rejected(std::move(s));
+  }
   return backend_->Execute(query, *PlanShared(query));
 }
 
 StatusOr<QueryOutcome> Warehouse::ExecuteSql(std::string_view sql) const {
   StatusOr<StarQuery> query = ParseSql(*schema_, sql);
   if (!query.ok()) return query.status();
-  return Execute(*query);
+  // The parser already checked every name and literal against the schema.
+  return backend_->Execute(*query, *PlanShared(*query));
 }
 
 BatchOutcome Warehouse::ExecuteBatch(std::span<const StarQuery> queries,
@@ -81,10 +92,39 @@ BatchOutcome Warehouse::ExecuteBatch(std::span<const StarQuery> queries,
   MDW_CHECK(!queries.empty(), "empty batch");
   // The backends consume contiguous plans; cache hits are copied out of
   // the cache (a copy is two vector clones — far cheaper than deriving).
+  std::vector<Status> statuses;
+  statuses.reserve(queries.size());
   std::vector<QueryPlan> plans;
   plans.reserve(queries.size());
-  for (const auto& q : queries) plans.push_back(*PlanShared(q));
-  return backend_->ExecuteBatch(queries, plans, streams);
+  for (const auto& q : queries) {
+    statuses.push_back(q.Validate(*schema_));
+    if (statuses.back().ok()) plans.push_back(*PlanShared(q));
+  }
+  if (plans.size() == queries.size()) {
+    return backend_->ExecuteBatch(queries, plans, streams);
+  }
+
+  // Run the valid queries alone, then put every rejected query back in
+  // its slot.
+  std::vector<StarQuery> valid;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (statuses[i].ok()) valid.push_back(queries[i]);
+  }
+  BatchOutcome batch;
+  batch.backend = backend_->kind();
+  if (batch.backend == BackendKind::kMaterialized) {
+    batch.total_aggregate = MiniWarehouse::AggregateResult{};
+  }
+  if (!valid.empty()) batch = backend_->ExecuteBatch(valid, plans, streams);
+  std::vector<QueryOutcome> outcomes;
+  outcomes.reserve(queries.size());
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    outcomes.push_back(statuses[i].ok() ? std::move(batch.queries[next++])
+                                        : Rejected(std::move(statuses[i])));
+  }
+  batch.queries = std::move(outcomes);
+  return batch;
 }
 
 BatchOutcome Warehouse::Serve(std::span<const Arrival> arrivals,

@@ -139,7 +139,9 @@ class Warehouse {
   std::shared_ptr<const QueryPlan> PlanShared(const StarQuery& query) const;
 
   /// Plans (cache-first) and executes one query on the configured
-  /// backend; the backend never re-plans.
+  /// backend; the backend never re-plans. A query that does not fit the
+  /// schema (StarQuery::Validate) is neither planned nor executed: its
+  /// outcome carries kInvalidArgument and no aggregate or table.
   QueryOutcome Execute(const StarQuery& query) const;
 
   /// One-call SQL front end: parses `sql` (the dialect of
@@ -153,7 +155,11 @@ class Warehouse {
 
   /// Executes a batch as one run. On the simulated backend `streams` > 1
   /// runs the batch in concurrent query streams (multi-user mode); the
-  /// materialized backend ignores it.
+  /// materialized backend ignores it. Queries that fail
+  /// StarQuery::Validate keep their slot in `queries` with a
+  /// kInvalidArgument outcome (no aggregate, no table) and take no part
+  /// in the run: the totals and the simulated metrics cover the valid
+  /// queries only.
   BatchOutcome ExecuteBatch(std::span<const StarQuery> queries,
                             int streams = 1) const;
 
@@ -185,6 +191,9 @@ class Warehouse {
   PlanCache::Stats plan_cache_stats() const;
 
  private:
+  /// The outcome of a query that failed StarQuery::Validate.
+  QueryOutcome Rejected(Status status) const;
+
   std::shared_ptr<const StarSchema> schema_;
   std::shared_ptr<const Fragmentation> fragmentation_;
   std::shared_ptr<const MiniWarehouse> mini_;  ///< kMaterialized only

@@ -54,6 +54,44 @@ const Predicate* StarQuery::PredicateOn(DimId dim) const {
   return nullptr;
 }
 
+Status StarQuery::Validate(const StarSchema& schema) const {
+  const auto check_attr = [&](DimId dim, Depth depth,
+                              const char* what) -> Status {
+    if (dim < 0 || dim >= schema.num_dimensions()) {
+      return Status::InvalidArgument(std::string(what) + " dimension " +
+                                     std::to_string(dim) + " out of range");
+    }
+    const auto& h = schema.dimension(dim).hierarchy();
+    if (depth < 0 || depth >= h.num_levels()) {
+      return Status::InvalidArgument(
+          std::string(what) + " level " + std::to_string(depth) +
+          " out of range for dimension '" + schema.dimension(dim).name() +
+          "'");
+    }
+    return Status::Ok();
+  };
+  for (const auto& p : predicates_) {
+    if (Status s = check_attr(p.dim, p.depth, "predicate"); !s.ok()) return s;
+    if (p.values.empty()) {
+      return Status::InvalidArgument("predicate needs at least one value");
+    }
+    const std::int64_t card =
+        schema.dimension(p.dim).hierarchy().Cardinality(p.depth);
+    for (const auto value : p.values) {
+      if (value < 0 || value >= card) {
+        return Status::InvalidArgument(
+            "predicate value " + std::to_string(value) + " on '" +
+            schema.dimension(p.dim).name() + "' outside [0, " +
+            std::to_string(card) + ")");
+      }
+    }
+  }
+  if (group_by_.has_value()) {
+    return check_attr(group_by_->dim, group_by_->depth, "GROUP BY");
+  }
+  return Status::Ok();
+}
+
 double StarQuery::Selectivity(const StarSchema& schema) const {
   double selectivity = 1.0;
   for (const auto& p : predicates_) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "schema/star_schema.h"
 
 namespace mdw {
@@ -100,6 +101,13 @@ class StarQuery {
 
   /// The predicate on `dim`, or nullptr.
   const Predicate* PredicateOn(DimId dim) const;
+
+  /// kInvalidArgument unless every predicate and the GROUP BY name an
+  /// existing dimension and hierarchy level of `schema`, and every
+  /// predicate value lies in [0, Cardinality(depth)) of a non-empty IN
+  /// list. Planning a query that fails this aborts, so callers taking
+  /// programmatic queries check it first.
+  Status Validate(const StarSchema& schema) const;
 
   /// Fraction of the fact table matching all predicates assuming uniform,
   /// independent dimensions (the paper's uniformity assumption):

@@ -42,8 +42,9 @@ std::int64_t CeilDiv(std::int64_t a, std::int64_t b) {
 }
 
 void Append(std::vector<std::byte>* out, const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::byte*>(data);
-  out->insert(out->end(), p, p + len);
+  const std::size_t at = out->size();
+  out->resize(at + len);
+  std::memcpy(out->data() + at, data, len);
 }
 void AppendU32(std::vector<std::byte>* out, std::uint32_t v) {
   Append(out, &v, sizeof v);
@@ -255,7 +256,7 @@ void SegmentStore::WriteSegment(const BuildInput& input, int s,
     // Prefix columns index the same global positions as row columns, so
     // every column of this shard starts at global offset `begin`.
     const std::int64_t* src =
-        input.columns[static_cast<std::size_t>(c)]->data() + begin;
+        input.columns[static_cast<std::size_t>(c)] + begin;
     std::int64_t remaining = ValueCount(input, s, c);
     while (remaining > 0) {
       const std::int64_t n = std::min(remaining, tuples_per_page_);
@@ -287,7 +288,7 @@ void SegmentStore::WriteSegment(const BuildInput& input, int s,
   // Pass 2: the data pages themselves, same image construction.
   for (int c = 0; c < cols; ++c) {
     const std::int64_t* src =
-        input.columns[static_cast<std::size_t>(c)]->data() + begin;
+        input.columns[static_cast<std::size_t>(c)] + begin;
     std::int64_t remaining = ValueCount(input, s, c);
     while (remaining > 0) {
       const std::int64_t n = std::min(remaining, tuples_per_page_);
@@ -338,7 +339,6 @@ SegmentStore::SegmentStore(const StoreOptions& options,
                            const BuildInput& input)
     : page_size_(input.page_size),
       tuples_per_page_(input.tuples_per_page),
-      num_dims_(input.num_dims),
       num_columns_(ColumnCount(input)),
       has_summaries_(input.has_summaries),
       prefetch_(options.prefetch),
@@ -446,8 +446,10 @@ int SegmentStore::ShardOf(std::int64_t i) const {
   return std::min(idx, num_shards() - 1);
 }
 
-std::int64_t SegmentStore::Cursor::Fault(std::int64_t i) {
-  if (!status_.ok()) return 0;
+ColumnBlock SegmentStore::Cursor::Fault(std::int64_t i) {
+  // Stand-in block of a failed cursor: one zero at the requested index.
+  static constexpr std::int64_t kZero = 0;
+  if (!status_.ok()) return {&kZero, i, i + 1};
   const SegmentStore& st = *store_;
   const int s = st.ShardOf(i);
   const ShardDir& dir = st.dirs_[static_cast<std::size_t>(s)];
@@ -471,13 +473,14 @@ std::int64_t SegmentStore::Cursor::Fault(std::int64_t i) {
     io_->checksum_failures += pin_io.checksum_failures;
   }
   if (!ref.ok()) {
-    // Latch the error; from here every At() answers 0 without touching
-    // the pool, and the caller discards the aggregate via status().
+    // Latch the error; from here every Fetch() answers 0 without
+    // touching the pool, and the caller discards the aggregate via
+    // status().
     status_ = ref.status();
     span_ = nullptr;
     span_begin_ = span_end_ = 0;
     page_.reset();
-    return 0;
+    return {&kZero, i, i + 1};
   }
   if (io_ != nullptr) {
     if (ref->hit()) {
@@ -492,9 +495,8 @@ std::int64_t SegmentStore::Cursor::Fault(std::int64_t i) {
   span_end_ =
       begin + std::min(page_in_col * st.tuples_per_page_ + st.tuples_per_page_,
                        values);
-  shard_ = s;
   page_ = std::make_unique<BufferPool::PageRef>(std::move(ref).value());
-  return span_[static_cast<std::size_t>(i - span_begin_)];
+  return {span_, span_begin_, span_end_};
 }
 
 void SegmentStore::Cursor::PrefetchRun(std::int64_t begin, std::int64_t end) {

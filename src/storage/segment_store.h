@@ -58,6 +58,15 @@ struct Fnv1a {
   void U64(std::uint64_t v) { Bytes(&v, sizeof v); }
 };
 
+/// A contiguous run of one column's values: global rows [begin, end),
+/// row r at data[r - begin]. Column readers hand these out so kernels
+/// keep the block in locals and refetch only past its end.
+struct ColumnBlock {
+  const std::int64_t* data = nullptr;
+  std::int64_t begin = 0;
+  std::int64_t end = 0;
+};
+
 /// The page-aligned on-disk form of one clustered, sharded warehouse:
 /// per shard a directory `shard-NNNN/` holding `segment.mdwseg` — a
 /// little-endian header (magic, version, schema hash, geometry, column
@@ -111,10 +120,10 @@ class SegmentStore {
     std::vector<std::int64_t> shard_row_begin;
     /// Per shard, its fragments' local row ranges, ascending.
     std::vector<std::vector<FragEntry>> shard_fragments;
-    /// Global columns in on-disk order: dims..., units, dollars, then
-    /// (iff has_summaries) units_prefix, dollars_prefix. The prefix
-    /// vectors hold total_rows + 1 values.
-    std::vector<const std::vector<std::int64_t>*> columns;
+    /// Global columns' values in on-disk order: dims..., units, dollars,
+    /// then (iff has_summaries) units_prefix, dollars_prefix. The prefix
+    /// columns hold total_rows + 1 values.
+    std::vector<const std::int64_t*> columns;
   };
 
   SegmentStore(const StoreOptions& options, const BuildInput& input);
@@ -144,13 +153,6 @@ class SegmentStore {
   int num_columns() const { return num_columns_; }
   bool has_summaries() const { return has_summaries_; }
 
-  /// Column indices in on-disk order.
-  int ColDim(int d) const { return d; }
-  int ColUnits() const { return num_dims_; }
-  int ColDollars() const { return num_dims_ + 1; }
-  int ColUnitsPrefix() const { return num_dims_ + 2; }
-  int ColDollarsPrefix() const { return num_dims_ + 3; }
-
   /// Path of shard `s`'s segment file (for tests and tooling).
   std::string SegmentPath(int s) const;
   /// Pages in shard `s`'s segment file, header and checksum block
@@ -177,19 +179,20 @@ class SegmentStore {
     std::int64_t checksum_failures = 0;
   };
 
-  /// A read cursor over one column, addressed by global clustered row
-  /// index; caches the current pinned page so sequential access costs
-  /// one pool pin per page. Cheap to construct (per scan chunk); NOT
-  /// thread-safe — use one cursor per thread, and a non-null `io` must
-  /// not be shared across concurrently-used cursors.
+  /// A read cursor over one column (by on-disk column index), addressed
+  /// by global clustered row index; its blocks are pinned pages, and it
+  /// keeps the current one pinned so sequential access costs one pool
+  /// pin per page. Cheap to construct (per scan chunk); NOT thread-safe
+  /// — use one cursor per thread, and a non-null `io` must not be shared
+  /// across concurrently-used cursors.
   ///
   /// Failure semantics: when a pin fails (after the pool's retries) the
-  /// cursor latches the error in status() and every subsequent At()
-  /// returns 0 without touching the pool again — the caller's kernel
-  /// runs to completion on zeros, and the execution layer discards the
-  /// poisoned aggregate because status() is not ok. This keeps the hot
-  /// path branch-free on the happy path (one status check per page
-  /// fault, none per row).
+  /// cursor latches the error in status() and every subsequent Fetch()
+  /// answers a one-value block holding 0 without touching the pool
+  /// again — the caller's kernel runs to completion on zeros, and the
+  /// execution layer discards the poisoned aggregate because status() is
+  /// not ok. This keeps the hot path branch-free on the happy path (one
+  /// status check per page fault, none per row).
   class Cursor {
    public:
     Cursor(const SegmentStore* store, int column, IoCounters* io,
@@ -197,12 +200,13 @@ class SegmentStore {
         : store_(store), column_(column), io_(io),
           cancel_(std::move(cancel)) {}
 
-    /// Value at global index `i`. For prefix columns `i` ranges over
-    /// [0, row_count()]; for all others [0, row_count()).
-    std::int64_t At(std::int64_t i) {
+    /// The page-sized block holding global index `i`, clipped to its
+    /// shard. For prefix columns `i` ranges over [0, row_count()]; for
+    /// all others [0, row_count()). The block stays valid until the next
+    /// Fetch() outside it.
+    ColumnBlock Fetch(std::int64_t i) {
       if (i >= span_begin_ && i < span_end_) {
-        return span_
-            [static_cast<std::size_t>(i - span_begin_)];
+        return {span_, span_begin_, span_end_};
       }
       return Fault(i);
     }
@@ -213,11 +217,20 @@ class SegmentStore {
     void PrefetchRun(std::int64_t begin, std::int64_t end);
 
     /// First error any page fault of this cursor hit; ok while every
-    /// read succeeded. Once failed, At() returns 0 for every index.
+    /// read succeeded. Once failed, Fetch() answers 0 for every index.
     const Status& status() const { return status_; }
 
+    /// Unpins the current page and clears a latched error: the cursor
+    /// reads on exactly as if freshly constructed.
+    void Restart() {
+      page_.reset();
+      span_ = nullptr;
+      span_begin_ = span_end_ = 0;
+      status_ = Status();
+    }
+
    private:
-    std::int64_t Fault(std::int64_t i);
+    ColumnBlock Fault(std::int64_t i);
 
     const SegmentStore* store_;
     int column_;
@@ -229,7 +242,6 @@ class SegmentStore {
     std::int64_t span_begin_ = 0;
     std::int64_t span_end_ = 0;
     const std::int64_t* span_ = nullptr;
-    std::int64_t shard_ = 0;  ///< shard of the current span (hint)
     std::unique_ptr<BufferPool::PageRef> page_;
   };
 
@@ -274,7 +286,6 @@ class SegmentStore {
 
   std::int64_t page_size_;
   std::int64_t tuples_per_page_;
-  int num_dims_;
   int num_columns_;
   bool has_summaries_;
   bool prefetch_;

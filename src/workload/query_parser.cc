@@ -1,6 +1,7 @@
 #include "workload/query_parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <utility>
 #include <vector>
@@ -75,6 +76,13 @@ bool IsInteger(const std::string& token) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
   }
   return true;
+}
+
+/// Parses an IsInteger token into `*out`; false when it overflows int64.
+bool ParseInt64(const std::string& token, std::int64_t* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 Status Err(std::string message) {
@@ -192,8 +200,10 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
       const std::int64_t card =
           schema.dimension(dim).hierarchy().Cardinality(depth);
       auto read_value = [&]() -> bool {
-        if (!IsInteger(lex.token())) return false;
-        const std::int64_t value = std::stoll(lex.token());
+        std::int64_t value = 0;
+        if (!IsInteger(lex.token()) || !ParseInt64(lex.token(), &value)) {
+          return false;
+        }
         if (value < 0 || value >= card) return false;
         predicate.values.push_back(value);
         lex.Advance();
@@ -244,8 +254,9 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
     if (!lex.Accept("BY")) return Err("expected BY after ORDER");
     OrderBy ob;
     if (IsInteger(lex.token())) {
-      const std::int64_t position = std::stoll(lex.token());
-      if (position < 1 || position > static_cast<std::int64_t>(items.size())) {
+      std::int64_t position = 0;
+      if (!ParseInt64(lex.token(), &position) || position < 1 ||
+          position > static_cast<std::int64_t>(items.size())) {
         return Err("ORDER BY position " + lex.token() +
                    " is outside the SELECT list (1.." +
                    std::to_string(items.size()) + ")");
@@ -274,11 +285,10 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
       lex.Accept("ASC");  // the default
     }
     if (lex.Accept("LIMIT")) {
-      if (!IsInteger(lex.token())) {
+      if (!IsInteger(lex.token()) || !ParseInt64(lex.token(), &ob.limit)) {
         return Err("expected a row count after LIMIT, got '" + lex.token() +
                    "'");
       }
-      ob.limit = std::stoll(lex.token());
       lex.Advance();
       if (ob.limit < 1) return Err("LIMIT must be at least 1");
     }
@@ -290,17 +300,6 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
   }
   return StarQuery("parsed", std::move(predicates), AggregateSpec{items},
                    group_by, order_by);
-}
-
-std::optional<StarQuery> ParseStarQuery(const StarSchema& schema,
-                                        const std::string& sql,
-                                        std::string* error) {
-  StatusOr<StarQuery> parsed = ParseSql(schema, sql);
-  if (!parsed.ok()) {
-    if (error != nullptr) *error = parsed.status().message();
-    return std::nullopt;
-  }
-  return std::move(parsed).value();
 }
 
 }  // namespace mdw

@@ -1,8 +1,6 @@
 #ifndef MDW_WORKLOAD_QUERY_PARSER_H_
 #define MDW_WORKLOAD_QUERY_PARSER_H_
 
-#include <optional>
-#include <string>
 #include <string_view>
 
 #include "common/status.h"
@@ -41,12 +39,6 @@ namespace mdw {
 /// (unknown dimension/level, out-of-range literal, malformed syntax, ...)
 /// — the typed status Warehouse::ExecuteSql surfaces unchanged.
 StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql);
-
-/// Legacy wrapper over ParseSql: returns std::nullopt on error and fills
-/// `*error` with the status message. Prefer ParseSql in new code.
-std::optional<StarQuery> ParseStarQuery(const StarSchema& schema,
-                                        const std::string& sql,
-                                        std::string* error);
 
 }  // namespace mdw
 

@@ -246,7 +246,7 @@ TEST(BufferPoolTest, ConcurrentScansOverSmallPoolStayCorrect) {
   BufferPool pool(8, kPageSize);
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
-  std::vector<bool> ok(kThreads, false);
+  std::vector<char> ok(kThreads, 0);  // one byte per thread: no shared words
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       bool all_good = true;
@@ -414,7 +414,7 @@ TEST(BufferPoolTest, ConcurrentPinsUnderInjectedFaultsRecover) {
                                      /*max_backoff_us=*/0});
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
-  std::vector<bool> ok(kThreads, false);
+  std::vector<char> ok(kThreads, 0);  // one byte per thread: no shared words
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       bool all_good = true;

@@ -292,8 +292,8 @@ TEST(SummaryCountersTest, DegenerateClusteringSummarizesPredicateFreeQuery) {
   EXPECT_EQ(covered.rows_summarized, wh.row_count());
   EXPECT_EQ(covered.fragments_summarized, 1);
 
-  const auto filtered = wh.ExecuteWithFragmentation(
-      apb1_queries::OneMonth(3), frag);
+  const StarQuery month = apb1_queries::OneMonth(3);
+  const auto filtered = wh.ExecuteWithPlan(month, planner.Plan(month));
   EXPECT_EQ(filtered.fragments_summarized, 0);
   EXPECT_GT(filtered.rows_scanned, 0);
 }

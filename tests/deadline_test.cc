@@ -344,8 +344,12 @@ TEST(DeadlineSchedulerTest, ExpiredWaitingQueriesAreShedNotDispatched) {
   EXPECT_EQ(schedule.ServedCount(), 1);
   EXPECT_EQ(schedule.ShedExpiredCount(), 2);
   for (const auto& q : schedule.admitted) {
-    if (q.served) EXPECT_LE(q.completion_vt, q.deadline_vt);
-    if (q.shed_expired) EXPECT_FALSE(q.served);
+    if (q.served) {
+      EXPECT_LE(q.completion_vt, q.deadline_vt);
+    }
+    if (q.shed_expired) {
+      EXPECT_FALSE(q.served);
+    }
   }
 
   const ServeMetrics metrics =
@@ -375,7 +379,9 @@ TEST(DeadlineSchedulerTest, DegradePolicyRescuesExpiringQueries) {
   EXPECT_FALSE(schedule.admitted[0].degraded);  // ran at full demand
   for (const auto& q : schedule.admitted) {
     EXPECT_LE(q.completion_vt, q.deadline_vt);
-    if (q.degraded) EXPECT_EQ(q.demand, 10);
+    if (q.degraded) {
+      EXPECT_EQ(q.demand, 10);
+    }
   }
   const ServeMetrics metrics =
       ComputeServeMetrics(schedule, arrivals, config);

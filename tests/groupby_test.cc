@@ -155,7 +155,9 @@ TEST_P(GroupByParitySweep, GroupedExecutionMatchesBruteForce) {
     EXPECT_EQ(units, outcome.aggregate->units_sold) << query.name();
     EXPECT_EQ(dollars, outcome.aggregate->dollar_sales_cents) << query.name();
     EXPECT_EQ(summarized, outcome.rows_summarized) << query.name();
-    if (!summaries) EXPECT_EQ(summarized, 0) << query.name();
+    if (!summaries) {
+      EXPECT_EQ(summarized, 0) << query.name();
+    }
   }
 }
 

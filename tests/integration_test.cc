@@ -184,11 +184,13 @@ TEST_F(IntegrationTest, TinySchemaSimulatorAgreesWithWarehouseSemantics) {
   // The same fragmentation + query on the tiny schema: the simulator's
   // subquery count equals the plan's fragment count, and the warehouse
   // confirms the plan's row semantics.
-  const MiniWarehouse warehouse(MakeTinyApb1Schema(), 7);
-  const Fragmentation f(&warehouse.schema(),
-                        {{kApb1Time, 2}, {kApb1Product, 3}});
+  const MiniWarehouse warehouse(MakeTinyApb1Schema(), 7,
+                                {{kApb1Time, 2}, {kApb1Product, 3}});
+  const Fragmentation& f = warehouse.cluster_fragmentation();
   const StarQuery q("1GROUP", {{kApb1Product, 3, {7}}});
-  const auto exec = warehouse.ExecuteWithFragmentation(q, f);
+  const auto exec =
+      warehouse.ExecuteWithPlan(q, QueryPlanner(&f.schema(), &f).Plan(q));
+  EXPECT_EQ(exec.result, warehouse.ExecuteFullScan(q));
 
   SimConfig config;
   config.num_disks = 4;

@@ -1,18 +1,32 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <tuple>
 
 #include "core/mini_warehouse.h"
+#include "fragment/query_planner.h"
 #include "schema/apb1.h"
 
 namespace mdw {
 namespace {
 
-// The shared warehouse is expensive to build; construct it once.
+/// Plans `query` under the warehouse's own clustering and executes it.
+MiniWarehouse::MdhfExecution ExecutePlanned(const MiniWarehouse& wh,
+                                            const StarQuery& query) {
+  const QueryPlanner planner(&wh.schema(), &wh.cluster_fragmentation());
+  return wh.ExecuteWithPlan(query, planner.Plan(query));
+}
+
+// The shared warehouse is expensive to build; construct it once. It is
+// clustered under {time::month, product::group} without summaries, so
+// every fragment a plan selects is scanned.
 class MiniWarehouseTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    warehouse_ = new MiniWarehouse(MakeTinyApb1Schema(), /*seed=*/42);
+    warehouse_ = new MiniWarehouse(MakeTinyApb1Schema(), /*seed=*/42,
+                                   {{kApb1Time, 2}, {kApb1Product, 3}},
+                                   /*enable_summaries=*/false);
   }
   static void TearDownTestSuite() {
     delete warehouse_;
@@ -74,11 +88,9 @@ TEST_F(MiniWarehouseTest, EmptyPredicateQueryAggregatesEverything) {
 TEST_F(MiniWarehouseTest, MdhfConfinesRowsScanned) {
   // 1MONTH1GROUP under {time::month, product::group}: IOC1-opt — the
   // fragment contains exactly the matching rows.
-  const Fragmentation f(&warehouse_->schema(),
-                        {{kApb1Time, 2}, {kApb1Product, 3}});
   const StarQuery q("1MONTH1GROUP",
                     {{kApb1Time, 2, {3}}, {kApb1Product, 3, {7}}});
-  const auto exec = warehouse_->ExecuteWithFragmentation(q, f);
+  const auto exec = ExecutePlanned(*warehouse_, q);
   EXPECT_EQ(exec.result, warehouse_->ExecuteFullScan(q));
   EXPECT_EQ(exec.io_class, IoClass::kIoc1Opt);
   EXPECT_EQ(exec.fragments_processed, 1);
@@ -88,13 +100,11 @@ TEST_F(MiniWarehouseTest, MdhfConfinesRowsScanned) {
 }
 
 TEST_F(MiniWarehouseTest, MdhfQ2UsesSuffixBitmaps) {
-  const Fragmentation f(&warehouse_->schema(),
-                        {{kApb1Time, 2}, {kApb1Product, 3}});
   // Tiny product: 96 codes, 24 groups -> 4 codes per group; code 30 is in
   // group 7.
   const StarQuery q("1CODE1MONTH",
                     {{kApb1Product, 5, {30}}, {kApb1Time, 2, {3}}});
-  const auto exec = warehouse_->ExecuteWithFragmentation(q, f);
+  const auto exec = ExecutePlanned(*warehouse_, q);
   EXPECT_EQ(exec.result, warehouse_->ExecuteFullScan(q));
   EXPECT_EQ(exec.query_class, QueryClass::kQ2);
   EXPECT_EQ(exec.fragments_processed, 1);
@@ -104,10 +114,8 @@ TEST_F(MiniWarehouseTest, MdhfQ2UsesSuffixBitmaps) {
 }
 
 TEST_F(MiniWarehouseTest, MdhfUnsupportedStillCorrect) {
-  const Fragmentation f(&warehouse_->schema(),
-                        {{kApb1Time, 2}, {kApb1Product, 3}});
   const StarQuery q("1STORE", {{kApb1Customer, 1, {17}}});
-  const auto exec = warehouse_->ExecuteWithFragmentation(q, f);
+  const auto exec = ExecutePlanned(*warehouse_, q);
   EXPECT_EQ(exec.result, warehouse_->ExecuteFullScan(q));
   EXPECT_EQ(exec.io_class, IoClass::kIoc2NoSupp);
   // All fragments processed; all rows scanned.
@@ -117,10 +125,8 @@ TEST_F(MiniWarehouseTest, MdhfUnsupportedStillCorrect) {
 TEST_F(MiniWarehouseTest, MdhfInListAcrossGroupsStaysCorrect) {
   // Codes 2 and 50 belong to different groups: the suffix-bitmap shortcut
   // must not be applied (regression test for cross-parent aliasing).
-  const Fragmentation f(&warehouse_->schema(),
-                        {{kApb1Time, 2}, {kApb1Product, 3}});
   const StarQuery q("2CODES", {{kApb1Product, 5, {2, 50}}});
-  const auto exec = warehouse_->ExecuteWithFragmentation(q, f);
+  const auto exec = ExecutePlanned(*warehouse_, q);
   EXPECT_EQ(exec.result, warehouse_->ExecuteFullScan(q));
 }
 
@@ -133,9 +139,10 @@ TEST_F(MiniWarehouseTest, MeasuresArePositive) {
 
 // ---- Exhaustive cross-validation sweep ----
 // For every fragmentation shape and every paper query type, the MDHF
-// execution must equal the full scan. This is the central end-to-end
-// property of the reproduction: fragment confinement + hierarchical
-// encoded bitmap evaluation never changes query results.
+// execution on a warehouse clustered under that fragmentation must equal
+// the full scan. This is the central end-to-end property of the
+// reproduction: fragment confinement + hierarchical encoded bitmap
+// evaluation never changes query results.
 
 struct SweepCase {
   const char* frag_label;
@@ -198,14 +205,20 @@ class MdhfEquivalenceSweep
 };
 
 TEST_P(MdhfEquivalenceSweep, MdhfEqualsFullScan) {
-  static MiniWarehouse* warehouse =
-      new MiniWarehouse(MakeTinyApb1Schema(), /*seed=*/42);
+  // One warehouse per fragmentation, built on first use and shared by
+  // that fragmentation's queries.
+  static auto* warehouses = new std::map<int, std::unique_ptr<MiniWarehouse>>;
   const auto [frag_index, query_index] = GetParam();
   const auto& sweep_case =
       Fragmentations()[static_cast<std::size_t>(frag_index)];
   const auto& query = Queries()[static_cast<std::size_t>(query_index)];
-  const Fragmentation f(&warehouse->schema(), sweep_case.attrs);
-  const auto exec = warehouse->ExecuteWithFragmentation(query, f);
+  auto& warehouse = (*warehouses)[frag_index];
+  if (warehouse == nullptr) {
+    warehouse = std::make_unique<MiniWarehouse>(MakeTinyApb1Schema(),
+                                                /*seed=*/42, sweep_case.attrs);
+  }
+  const auto exec = ExecutePlanned(*warehouse, query);
+  ASSERT_TRUE(exec.status.ok()) << exec.status.ToString();
   const auto expected = warehouse->ExecuteFullScan(query);
   EXPECT_EQ(exec.result, expected)
       << "fragmentation " << sweep_case.frag_label << " query "

@@ -11,7 +11,7 @@ namespace {
 class PagedLayoutTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    warehouse_ = new MiniWarehouse(MakeTinyApb1Schema(), /*seed=*/42);
+    warehouse_ = new MiniWarehouse(MakeTinyApb1Schema(), /*seed=*/42, {});
   }
   static void TearDownTestSuite() {
     delete warehouse_;

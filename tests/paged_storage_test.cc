@@ -24,6 +24,7 @@
 #include "core/paged_layout.h"
 #include "core/warehouse.h"
 #include "fragment/fragmentation.h"
+#include "fragment/query_planner.h"
 #include "fragment/star_query.h"
 #include "schema/apb1.h"
 #include "storage/segment_store.h"
@@ -166,23 +167,29 @@ TEST(PagedStorageTest, FacadeParityAcrossShardsAndWorkers) {
   }
 }
 
-TEST(PagedStorageTest, FullScanBitmapAndFallbackParity) {
+TEST(PagedStorageTest, FullScanBitmapAndQuarterClusteringParity) {
   TempDir dir;
-  const MiniWarehouse ram = MakeRam(2);
-  const MiniWarehouse paged = MakePaged(2, Opts(dir.path()));
+  // A coarser clustering than the façade's (quarters only), so most of
+  // the sweep scans bitmap-filtered rows inside its fragments.
+  const std::vector<FragAttr> quarter = {{kApb1Time, 1}};
+  const MiniWarehouse ram(MakeTinyApb1Schema(), 42, quarter, true, 2);
+  const MiniWarehouse paged(MakeTinyApb1Schema(), 42, quarter, true, 2, {},
+                            Opts(dir.path()));
   ASSERT_TRUE(paged.file_backed());
-  // A fragmentation that does NOT match the clustered layout forces the
-  // per-row membership fallback (ExecuteUnclustered) on both stores.
-  const Fragmentation other_ram(&ram.schema(), {{kApb1Time, 1}});
-  const Fragmentation other_paged(&paged.schema(), {{kApb1Time, 1}});
+  const QueryPlanner ram_planner(&ram.schema(), &ram.cluster_fragmentation());
+  const QueryPlanner paged_planner(&paged.schema(),
+                                   &paged.cluster_fragmentation());
   for (const StarQuery& q : QuerySweep()) {
-    EXPECT_EQ(ram.ExecuteFullScan(q), paged.ExecuteFullScan(q)) << q.name();
+    const auto truth = ram.ExecuteFullScan(q);
+    EXPECT_EQ(paged.ExecuteFullScan(q), truth) << q.name();
     EXPECT_EQ(ram.ExecuteWithBitmaps(q), paged.ExecuteWithBitmaps(q))
         << q.name();
-    const auto a = ram.ExecuteWithFragmentation(q, other_ram);
-    const auto b = paged.ExecuteWithFragmentation(q, other_paged);
+    const auto a = ram.ExecuteWithPlan(q, ram_planner.Plan(q));
+    const auto b = paged.ExecuteWithPlan(q, paged_planner.Plan(q));
+    EXPECT_EQ(a.result, truth) << q.name();
     EXPECT_EQ(a.result, b.result) << q.name();
     EXPECT_EQ(a.rows_scanned, b.rows_scanned) << q.name();
+    EXPECT_EQ(a.rows_summarized, b.rows_summarized) << q.name();
   }
 }
 
@@ -219,11 +226,13 @@ TEST(PagedStorageTest, StaleSegmentsOfAnotherDatasetAreRewritten) {
   EXPECT_FALSE(seed43.paged_store()->reused());
   EXPECT_FALSE(seed43.paged_store()->validation_error().empty());
   const MiniWarehouse ram43 = MakeRam(2, /*seed=*/43);
-  const Fragmentation frag(&ram43.schema(), MonthGroup());
-  const Fragmentation frag_paged(&seed43.schema(), MonthGroup());
+  const QueryPlanner planner(&ram43.schema(),
+                             &ram43.cluster_fragmentation());
+  const QueryPlanner planner_paged(&seed43.schema(),
+                                   &seed43.cluster_fragmentation());
   for (const StarQuery& q : QuerySweep()) {
-    EXPECT_EQ(ram43.ExecuteWithFragmentation(q, frag).result,
-              seed43.ExecuteWithFragmentation(q, frag_paged).result)
+    EXPECT_EQ(ram43.ExecuteWithPlan(q, planner.Plan(q)).result,
+              seed43.ExecuteWithPlan(q, planner_paged.Plan(q)).result)
         << q.name();
   }
 }
@@ -399,6 +408,43 @@ TEST(PagedStorageTest, ServesTheDatasetThroughAPoolSmallerThanTheWorkingSet) {
   }
   // A 16-page pool cannot hold the measure columns; pages churned.
   EXPECT_GT(paged.materialized()->paged_store()->pool().stats().evictions, 0);
+}
+
+TEST(PagedStorageTest, GroupedScanAcrossPagesAndShardsMatchesRamUnderEviction) {
+  // Grouped residual scans read the measures and the group key block by
+  // block (one pinned page per block). These shapes put hits on many
+  // pages of every shard, so blocks are refetched at every page and
+  // shard boundary while a pool of a few pages evicts between them; the
+  // record must still equal the RAM store's, groups included.
+  const std::vector<StarQuery> queries = {
+      // Every row, grouped by a non-fragmentation dimension.
+      StarQuery("ALL_BY_STORE", {}).WithGroupBy({kApb1Customer, 1}),
+      // Bitmap-filtered hits, grouped at the fragmentation level.
+      apb1_queries::OneStore(17).WithGroupBy({kApb1Time, 2}),
+      // Fragment-confined, grouped below the fragmentation level.
+      apb1_queries::OneQuarter(2).WithGroupBy({kApb1Product, 5}),
+  };
+  for (const int workers : {1, 2}) {
+    TempDir dir;
+    const Warehouse ram = MakeFacade(4, workers);
+    const Warehouse paged =
+        MakeFacade(4, workers, dir.path(), /*pool_pages=*/12);
+    const MiniWarehouse& mini = *ram.materialized();
+    for (const StarQuery& q : queries) {
+      const QueryOutcome a = ram.Execute(q);
+      const QueryOutcome b = paged.Execute(q);
+      ASSERT_TRUE(b.status.ok()) << q.name() << ": " << b.status.ToString();
+      ExpectLogicalParity(a, b);
+      EXPECT_GT(b.rows_scanned, 0) << q.name();
+      ASSERT_TRUE(a.table.has_value() && b.table.has_value()) << q.name();
+      EXPECT_EQ(*a.table, *b.table) << q.name() << " workers=" << workers;
+      EXPECT_EQ(b.table->rows, mini.ExecuteFullScanGrouped(q)) << q.name();
+      // The scan touched more pages than the pool holds.
+      EXPECT_GT(b.pages_read + b.buffer_hits, 12) << q.name();
+    }
+    EXPECT_GT(paged.materialized()->paged_store()->pool().stats().evictions,
+              0);
+  }
 }
 
 TEST(PagedStorageTest, QueryIoCountersMatchThePoolAndSumOverShards) {

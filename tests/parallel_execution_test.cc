@@ -57,8 +57,7 @@ std::vector<StarQuery> QuerySweep() {
 
 TEST(ClusteredLayoutTest, DirectoryPartitionsAllRows) {
   const MiniWarehouse wh(MakeTinyApb1Schema(), /*seed=*/42, MonthGroup());
-  ASSERT_TRUE(wh.clustered());
-  const Fragmentation& f = *wh.cluster_fragmentation();
+  const Fragmentation& f = wh.cluster_fragmentation();
   std::int64_t covered = 0;
   for (FragId id = 0; id < f.FragmentCount(); ++id) {
     const auto [begin, end] = wh.FragmentRows(id);
@@ -74,7 +73,7 @@ TEST(ClusteredLayoutTest, DirectoryPartitionsAllRows) {
 
 TEST(ClusteredLayoutTest, EveryRowLiesInItsFragmentRange) {
   const MiniWarehouse wh(MakeTinyApb1Schema(), /*seed=*/42, MonthGroup());
-  const Fragmentation& f = *wh.cluster_fragmentation();
+  const Fragmentation& f = wh.cluster_fragmentation();
   const int dims = wh.schema().num_dimensions();
   std::vector<std::int64_t> leaf(static_cast<std::size_t>(dims));
   for (FragId id = 0; id < f.FragmentCount(); ++id) {
@@ -92,10 +91,11 @@ TEST(ClusteredLayoutTest, EveryRowLiesInItsFragmentRange) {
 
 TEST(ClusteredLayoutTest, PermutationPreservesAggregates) {
   // Clustering permutes rows but never changes the data: full scans of the
-  // clustered and generation-order warehouses (same seed) agree.
+  // clustered warehouse and the single-fragment one (which keeps
+  // generation order) agree for the same seed.
   const MiniWarehouse clustered(MakeTinyApb1Schema(), /*seed=*/42,
                                 MonthGroup());
-  const MiniWarehouse generation(MakeTinyApb1Schema(), /*seed=*/42);
+  const MiniWarehouse generation(MakeTinyApb1Schema(), /*seed=*/42, {});
   ASSERT_EQ(clustered.row_count(), generation.row_count());
   for (const auto& query : QuerySweep()) {
     EXPECT_EQ(clustered.ExecuteFullScan(query),
@@ -106,7 +106,7 @@ TEST(ClusteredLayoutTest, PermutationPreservesAggregates) {
 
 TEST(ClusteredLayoutTest, EmptyAttributeListIsSingleFragmentClustering) {
   const MiniWarehouse wh(MakeTinyApb1Schema(), /*seed=*/42, {});
-  ASSERT_TRUE(wh.clustered());
+  EXPECT_EQ(wh.cluster_fragmentation().FragmentCount(), 1);
   const auto [begin, end] = wh.FragmentRows(0);
   EXPECT_EQ(begin, 0);
   EXPECT_EQ(end, wh.row_count());
@@ -148,8 +148,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Determinism: the ENTIRE MdhfExecution record (aggregates and counters)
-// is identical at any worker count, on both the clustered fast path and
-// the unclustered fallback.
+// is identical at any worker count, under any clustering.
 
 TEST(ParallelDeterminismTest, IdenticalExecutionRecordAtAnyWorkerCount) {
   const MiniWarehouse wh(MakeTinyApb1Schema(), /*seed=*/42, MonthGroup());
@@ -167,12 +166,13 @@ TEST(ParallelDeterminismTest, IdenticalExecutionRecordAtAnyWorkerCount) {
   }
 }
 
-TEST(ParallelDeterminismTest, FallbackPathIsDeterministicToo) {
-  // Plans derived from a fragmentation that does NOT match the clustered
-  // layout take the membership-scan fallback; it must agree with the
+TEST(ParallelDeterminismTest, StoreClusteringIsDeterministicToo) {
+  // A store-clustered layout leaves most of the sweep unsupported or
+  // bitmap-filtered (every fragment scanned); it must agree with the
   // serial run and the full scan at any worker count.
-  const MiniWarehouse wh(MakeTinyApb1Schema(), /*seed=*/42, MonthGroup());
-  const Fragmentation store_frag(&wh.schema(), {{kApb1Customer, 1}});
+  const MiniWarehouse wh(MakeTinyApb1Schema(), /*seed=*/42,
+                         {{kApb1Customer, 1}});
+  const Fragmentation& store_frag = wh.cluster_fragmentation();
   const QueryPlanner planner(&wh.schema(), &store_frag);
   const ThreadPool pool8(8);
   for (const auto& query : QuerySweep()) {
@@ -240,28 +240,27 @@ TEST(FragmentConfinementTest, RowsAccountedShrinkWithSelectivity) {
   EXPECT_EQ(e_mg.rows_scanned, 0);
 }
 
-TEST(FragmentConfinementTest, ClusteredAndFallbackReportSameCounters) {
-  // rows_scanned semantics must not change with the layout: with summaries
-  // off, the clustered directory walk and the fallback membership scan
-  // produce identical execution records; with summaries on, the summarized
-  // rows account exactly for the rows the fallback scans.
+TEST(FragmentConfinementTest, SummariesAccountForExactlyTheRowsTheyReplace) {
+  // rows_scanned semantics must not change with summaries: with them on,
+  // the summarized rows account exactly for the rows the summary-free
+  // store scans, and the aggregates agree with each other and the oracle.
   const MiniWarehouse clustered(MakeTinyApb1Schema(), /*seed=*/42,
                                 MonthGroup());
   const MiniWarehouse plain(MakeTinyApb1Schema(), /*seed=*/42, MonthGroup(),
                             /*enable_summaries=*/false);
-  const MiniWarehouse generation(MakeTinyApb1Schema(), /*seed=*/42);
-  const Fragmentation fc(&clustered.schema(), MonthGroup());
-  const Fragmentation fp(&plain.schema(), MonthGroup());
-  const Fragmentation fg(&generation.schema(), MonthGroup());
+  const QueryPlanner pc(&clustered.schema(),
+                        &clustered.cluster_fragmentation());
+  const QueryPlanner pp(&plain.schema(), &plain.cluster_fragmentation());
   for (const auto& query : QuerySweep()) {
-    const auto a = clustered.ExecuteWithFragmentation(query, fc);
-    const auto p = plain.ExecuteWithFragmentation(query, fp);
-    const auto b = generation.ExecuteWithFragmentation(query, fg);
-    EXPECT_EQ(p, b) << query.name();
-    EXPECT_EQ(a.result, b.result) << query.name();
-    EXPECT_EQ(a.rows_scanned + a.rows_summarized, b.rows_scanned)
+    const auto a = clustered.ExecuteWithPlan(query, pc.Plan(query));
+    const auto p = plain.ExecuteWithPlan(query, pp.Plan(query));
+    EXPECT_EQ(p.result, plain.ExecuteFullScan(query)) << query.name();
+    EXPECT_EQ(a.result, p.result) << query.name();
+    EXPECT_EQ(a.rows_scanned + a.rows_summarized, p.rows_scanned)
         << query.name();
-    EXPECT_EQ(b.fragments_summarized, 0) << query.name();
+    EXPECT_EQ(a.fragments_processed, p.fragments_processed) << query.name();
+    EXPECT_EQ(p.fragments_summarized, 0) << query.name();
+    EXPECT_EQ(p.rows_summarized, 0) << query.name();
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/mini_warehouse.h"
@@ -88,18 +89,46 @@ TEST(PlanFirstCountingTest, CachedRepeatsDeriveNothing) {
 // ---------------------------------------------------------------------------
 // Plan-accepting engine entry points match the planning overloads.
 
-TEST(PlanFirstEngineTest, MiniWarehousePlanOverloadMatchesCompat) {
-  const MiniWarehouse mini(MakeTinyApb1Schema(), kSeed);
+TEST(PlanFirstEngineTest, MiniWarehousePlanOverloadMatchesOracle) {
+  const MiniWarehouse mini(MakeTinyApb1Schema(), kSeed, MonthGroup());
   const Fragmentation frag(&mini.schema(), MonthGroup());
   const QueryPlanner planner(&mini.schema(), &frag);
   for (const auto& q : DistinctQueries()) {
-    const auto compat = mini.ExecuteWithFragmentation(q, frag);
-    const auto plan_first = mini.ExecuteWithPlan(q, planner.Plan(q));
-    EXPECT_EQ(plan_first.result, compat.result) << q.name();
-    EXPECT_EQ(plan_first.rows_scanned, compat.rows_scanned) << q.name();
-    EXPECT_EQ(plan_first.fragments_processed, compat.fragments_processed);
-    EXPECT_EQ(plan_first.query_class, compat.query_class);
-    EXPECT_EQ(plan_first.io_class, compat.io_class);
+    const auto plan = planner.Plan(q);
+    const auto plan_first = mini.ExecuteWithPlan(q, plan);
+    ASSERT_TRUE(plan_first.status.ok()) << q.name();
+    EXPECT_EQ(plan_first.result, mini.ExecuteFullScan(q)) << q.name();
+    EXPECT_EQ(plan_first.fragments_processed, plan.FragmentCount());
+    EXPECT_EQ(plan_first.query_class, plan.query_class());
+    EXPECT_EQ(plan_first.io_class, plan.io_class());
+  }
+}
+
+TEST(PlanFirstEngineTest, ForeignFragmentationPlanIsInvalidArgument) {
+  // Plans must come from the fragmentation the store is clustered under;
+  // any other plan is refused with a typed status, never executed by a
+  // membership scan and never an abort.
+  const auto mini = std::make_shared<const MiniWarehouse>(
+      MakeTinyApb1Schema(), kSeed, MonthGroup());
+  const auto foreign = std::make_shared<const Fragmentation>(
+      &mini->schema(), std::vector<FragAttr>{{kApb1Customer, 1}});
+  const QueryPlanner planner(&mini->schema(), foreign.get());
+  const MaterializedBackend backend(mini, foreign, /*num_workers=*/1);
+  for (const auto& q : DistinctQueries()) {
+    const auto plan = planner.Plan(q);
+    const auto exec = mini->ExecuteWithPlan(q, plan);
+    EXPECT_EQ(exec.status.code(), StatusCode::kInvalidArgument) << q.name();
+    EXPECT_EQ(exec.result, MiniWarehouse::AggregateResult{}) << q.name();
+    EXPECT_EQ(exec.rows_scanned, 0) << q.name();
+    EXPECT_EQ(exec.rows_summarized, 0) << q.name();
+    EXPECT_TRUE(exec.groups.empty()) << q.name();
+    EXPECT_EQ(exec.query_class, plan.query_class()) << q.name();
+
+    // Through the backend the refusal surfaces with no aggregate.
+    const QueryOutcome outcome = backend.Execute(q, plan);
+    EXPECT_EQ(outcome.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(outcome.aggregate.has_value()) << q.name();
+    EXPECT_FALSE(outcome.table.has_value()) << q.name();
   }
 }
 

@@ -12,17 +12,17 @@ class ParserTest : public ::testing::Test {
   ParserTest() : schema_(MakeApb1Schema()) {}
 
   StarQuery MustParse(const std::string& sql) {
-    std::string error;
-    auto query = ParseStarQuery(schema_, sql, &error);
-    EXPECT_TRUE(query.has_value()) << sql << " -> " << error;
-    return query.value_or(StarQuery("invalid", {}));
+    auto query = ParseSql(schema_, sql);
+    EXPECT_TRUE(query.ok()) << sql << " -> " << query.status().message();
+    return query.ok() ? std::move(query).value() : StarQuery("invalid", {});
   }
 
   std::string MustFail(const std::string& sql) {
-    std::string error;
-    auto query = ParseStarQuery(schema_, sql, &error);
-    EXPECT_FALSE(query.has_value()) << sql;
-    return error;
+    auto query = ParseSql(schema_, sql);
+    EXPECT_FALSE(query.ok()) << sql;
+    if (query.ok()) return "";
+    EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument) << sql;
+    return query.status().message();
   }
 
   StarSchema schema_;
@@ -208,12 +208,37 @@ TEST_F(ParserTest, RejectsMalformedSyntax) {
 
 TEST_F(ParserTest, WorksOnTinySchema) {
   const auto tiny = MakeTinyApb1Schema();
-  std::string error;
-  const auto q = ParseStarQuery(
-      tiny, "SELECT SUM(UnitsSold) FROM tiny_sales WHERE product.code = 30",
-      &error);
-  ASSERT_TRUE(q.has_value()) << error;
-  EXPECT_EQ(q->predicates()[0].values[0], 30);
+  const auto q = ParseSql(
+      tiny, "SELECT SUM(UnitsSold) FROM tiny_sales WHERE product.code = 30");
+  ASSERT_TRUE(q.ok()) << q.status().message();
+  EXPECT_EQ(q.value().predicates()[0].values[0], 30);
+}
+
+// Literals beyond int64 are typed errors, never an exception out of the
+// parser: one case per position that reads an integer.
+TEST_F(ParserTest, RejectsInt64OverflowPredicateValue) {
+  const std::string error = MustFail(
+      "SELECT SUM(UnitsSold) FROM sales WHERE time.month = "
+      "99999999999999999999");
+  EXPECT_NE(error.find("99999999999999999999"), std::string::npos) << error;
+  MustFail(
+      "SELECT SUM(UnitsSold) FROM sales WHERE time.month IN (1, "
+      "99999999999999999999)");
+}
+
+TEST_F(ParserTest, RejectsInt64OverflowOrderByPosition) {
+  const std::string error = MustFail(
+      "SELECT SUM(UnitsSold) FROM sales GROUP BY time.year "
+      "ORDER BY 99999999999999999999");
+  EXPECT_NE(error.find("outside the SELECT list"), std::string::npos)
+      << error;
+}
+
+TEST_F(ParserTest, RejectsInt64OverflowLimit) {
+  const std::string error = MustFail(
+      "SELECT SUM(UnitsSold) FROM sales GROUP BY time.year "
+      "ORDER BY 1 LIMIT 99999999999999999999");
+  EXPECT_NE(error.find("LIMIT"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -108,7 +108,7 @@ TEST_F(RangeFragTest, LabelShowsRangeCounts) {
 // Functional correctness on materialised data: fragment membership plus
 // (where required) predicate re-checking reproduces the full-scan result.
 TEST(RangeFragFunctionalTest, SelectedFragmentsContainAllHits) {
-  const MiniWarehouse warehouse(MakeTinyApb1Schema(), 11);
+  const MiniWarehouse warehouse(MakeTinyApb1Schema(), 11, {});
   const auto& schema = warehouse.schema();
   const RangeFragmentation f(
       &schema,
@@ -162,7 +162,7 @@ TEST(RangeFragFunctionalTest, SelectedFragmentsContainAllHits) {
 }
 
 TEST(RangeFragFunctionalTest, RowMappingPartitionsAllRows) {
-  const MiniWarehouse warehouse(MakeTinyApb1Schema(), 13);
+  const MiniWarehouse warehouse(MakeTinyApb1Schema(), 13, {});
   const auto& schema = warehouse.schema();
   const RangeFragmentation f(
       &schema, {RangeFragmentation::EqualSplit(schema, kApb1Customer, 1, 5),

@@ -87,7 +87,7 @@ TEST(ShardedLayoutTest, FragmentRangesTileTheirShardInAscendingIdOrder) {
     EXPECT_EQ(cursor, shard_end);
   }
   EXPECT_EQ(static_cast<std::int64_t>(seen.size()),
-            wh.cluster_fragmentation()->FragmentCount());
+            wh.cluster_fragmentation().FragmentCount());
 }
 
 TEST(ShardedLayoutTest, ShardPlacementMatchesTheDiskAllocation) {
@@ -97,14 +97,14 @@ TEST(ShardedLayoutTest, ShardPlacementMatchesTheDiskAllocation) {
   ASSERT_NE(wh.shard_allocation(), nullptr);
   EXPECT_EQ(wh.shard_allocation()->num_disks(), 4);
   EXPECT_EQ(wh.shard_allocation()->config().round_gap, 1);
-  for (FragId f = 0; f < wh.cluster_fragmentation()->FragmentCount(); ++f) {
+  for (FragId f = 0; f < wh.cluster_fragmentation().FragmentCount(); ++f) {
     EXPECT_EQ(wh.ShardOfFragment(f), wh.shard_allocation()->DiskOfFragment(f));
   }
 }
 
 TEST(ShardedLayoutTest, EveryRowLiesInItsFragmentsShard) {
   const MiniWarehouse wh = MakeSharded(7);
-  const Fragmentation& f = *wh.cluster_fragmentation();
+  const Fragmentation& f = wh.cluster_fragmentation();
   const int dims = wh.schema().num_dimensions();
   std::vector<std::int64_t> leaf(static_cast<std::size_t>(dims));
   for (int s = 0; s < wh.num_shards(); ++s) {
@@ -212,16 +212,18 @@ TEST(ShardedParitySweep, RoundGapChangesPlacementNotAnswers) {
   const MiniWarehouse plain = MakeSharded(4);
   const MiniWarehouse shifted = MakeSharded(4, /*seed=*/42, gapped);
   bool any_moved = false;
-  for (FragId f = 0; f < plain.cluster_fragmentation()->FragmentCount();
+  for (FragId f = 0; f < plain.cluster_fragmentation().FragmentCount();
        ++f) {
     any_moved |= plain.ShardOfFragment(f) != shifted.ShardOfFragment(f);
   }
   EXPECT_TRUE(any_moved);
   const Fragmentation fp(&plain.schema(), MonthGroup());
   const Fragmentation fs(&shifted.schema(), MonthGroup());
+  const QueryPlanner pp(&plain.schema(), &fp);
+  const QueryPlanner ps(&shifted.schema(), &fs);
   for (const auto& query : QuerySweep()) {
-    EXPECT_EQ(plain.ExecuteWithFragmentation(query, fp).result,
-              shifted.ExecuteWithFragmentation(query, fs).result)
+    EXPECT_EQ(plain.ExecuteWithPlan(query, pp.Plan(query)).result,
+              shifted.ExecuteWithPlan(query, ps.Plan(query)).result)
         << query.name();
   }
 }

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/mini_warehouse.h"
@@ -58,7 +59,7 @@ std::vector<StarQuery> QuerySweep() {
 
 TEST(WarehouseMaterializedTest, ExecuteMatchesFullScanAcrossQuerySweep) {
   const Warehouse warehouse = TinyMaterialized();
-  const MiniWarehouse reference(MakeTinyApb1Schema(), kSeed);
+  const MiniWarehouse reference(MakeTinyApb1Schema(), kSeed, {});
   ASSERT_EQ(warehouse.materialized()->row_count(), reference.row_count());
 
   for (const auto& query : QuerySweep()) {
@@ -98,6 +99,81 @@ TEST(WarehouseMaterializedTest, BatchSumsAggregates) {
   for (const auto& q : batch.queries) rows += q.aggregate->rows;
   EXPECT_EQ(batch.total_aggregate->rows, rows);
   EXPECT_GT(rows, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Input validation: a programmatic query that does not fit the schema is
+// answered with a typed kInvalidArgument outcome, never an abort.
+
+void ExpectRejected(const QueryOutcome& outcome, const std::string& what) {
+  EXPECT_EQ(outcome.status.code(), StatusCode::kInvalidArgument)
+      << what << ": " << outcome.status.ToString();
+  EXPECT_FALSE(outcome.aggregate.has_value()) << what;
+  EXPECT_FALSE(outcome.table.has_value()) << what;
+  EXPECT_EQ(outcome.rows_scanned, 0) << what;
+}
+
+TEST(WarehouseValidationTest, OutOfRangeQueriesReturnInvalidArgument) {
+  const Warehouse warehouse = TinyMaterialized();
+  ExpectRejected(
+      warehouse.Execute(StarQuery("month 999", {{kApb1Time, 2, {999}}})),
+      "value above the cardinality");
+  ExpectRejected(
+      warehouse.Execute(StarQuery("month -1", {{kApb1Time, 2, {3, -1}}})),
+      "negative value in an IN list");
+  ExpectRejected(warehouse.Execute(StarQuery("dim 17", {{17, 0, {0}}})),
+                 "unknown dimension");
+  ExpectRejected(warehouse.Execute(StarQuery("dim -1", {{-1, 0, {0}}})),
+                 "negative dimension");
+  ExpectRejected(
+      warehouse.Execute(StarQuery("depth 9", {{kApb1Time, 9, {0}}})),
+      "level below the leaf");
+  ExpectRejected(
+      warehouse.Execute(apb1_queries::OneMonth(3).WithGroupBy({42, 0})),
+      "unknown GROUP BY dimension");
+  ExpectRejected(warehouse.Execute(
+                     apb1_queries::OneMonth(3).WithGroupBy({kApb1Time, 7})),
+                 "unknown GROUP BY level");
+  // The warehouse keeps answering valid queries afterwards.
+  EXPECT_TRUE(warehouse.Execute(apb1_queries::OneMonth(3)).status.ok());
+}
+
+TEST(WarehouseValidationTest, SimulatedBackendRejectsToo) {
+  const Warehouse warehouse({.schema = MakeTinyApb1Schema(),
+                             .fragmentation = MonthGroup(),
+                             .backend = BackendKind::kSimulated});
+  const auto outcome =
+      warehouse.Execute(StarQuery("month 999", {{kApb1Time, 2, {999}}}));
+  EXPECT_EQ(outcome.backend, BackendKind::kSimulated);
+  ExpectRejected(outcome, "simulated");
+  EXPECT_FALSE(outcome.sim.has_value());
+}
+
+TEST(WarehouseValidationTest, BatchRejectsInvalidQueriesInTheirSlots) {
+  const Warehouse warehouse = TinyMaterialized();
+  const std::vector<StarQuery> queries = {
+      apb1_queries::OneMonth(1),
+      StarQuery("month 999", {{kApb1Time, 2, {999}}}),
+      apb1_queries::OneQuarter(2),
+      apb1_queries::OneMonth(5).WithGroupBy({kApb1Product, 11})};
+  const auto batch = warehouse.ExecuteBatch(queries);
+  ASSERT_EQ(batch.queries.size(), queries.size());
+  EXPECT_EQ(batch.queries[0], warehouse.Execute(queries[0]));
+  ExpectRejected(batch.queries[1], "batch slot 1");
+  EXPECT_EQ(batch.queries[2], warehouse.Execute(queries[2]));
+  ExpectRejected(batch.queries[3], "batch slot 3");
+  ASSERT_TRUE(batch.total_aggregate.has_value());
+  EXPECT_EQ(batch.total_aggregate->rows, batch.queries[0].aggregate->rows +
+                                             batch.queries[2].aggregate->rows);
+
+  const std::vector<StarQuery> all_bad = {queries[1], queries[3]};
+  const auto rejected = warehouse.ExecuteBatch(all_bad);
+  ASSERT_EQ(rejected.queries.size(), 2u);
+  for (const auto& outcome : rejected.queries) {
+    ExpectRejected(outcome, "all-invalid batch");
+  }
+  ASSERT_TRUE(rejected.total_aggregate.has_value());
+  EXPECT_EQ(rejected.total_aggregate->rows, 0);
 }
 
 // ---------------------------------------------------------------------------
