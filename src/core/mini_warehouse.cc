@@ -672,29 +672,33 @@ MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteWithPlan(
     // chunks).
     exec.status = options.cancel.CancelStatus();
   } else {
-    ExecScratch local;
-    ExecScratch& s = scratch != nullptr ? *scratch : local;
+    // Without a caller scratch, the calling thread's own one: a thread
+    // runs one execution at a time (pool tasks only scan), so reuse is
+    // safe and a closed loop of queries allocates no execution buffers.
+    thread_local ExecScratch per_thread;
+    ExecScratch& s = scratch != nullptr ? *scratch : per_thread;
     ResolveBitmapAccesses(query, plan, &s.accesses_);
-    exec = ExecuteFragments(plan, s.accesses_, pool, options);
+    ExecuteFragments(plan, pool, options, s, &exec);
   }
   exec.query_class = plan.query_class();
   exec.io_class = plan.io_class();
   return exec;
 }
 
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteFragments(
-    const QueryPlan& plan, const std::vector<BitmapAccess>& accesses,
-    const ThreadPool* pool, const ExecOptions& options) const {
+void MiniWarehouse::ExecuteFragments(const QueryPlan& plan,
+                                     const ThreadPool* pool,
+                                     const ExecOptions& options,
+                                     ExecScratch& scratch,
+                                     MdhfExecution* exec) const {
   GroupContext group;
-  GroupAccum group_accum;
   GroupAccum* groups = nullptr;
   if (plan.grouped()) {
     group.grouped = true;
     group.dim = plan.group_by()->dim;
     group.leaves_per = plan.group_leaves_per();
     group.card = plan.group_card();
-    group_accum.Reset(group.card);
-    groups = &group_accum;
+    scratch.groups_.Reset(group.card);
+    groups = &scratch.groups_;
   }
   // A summary run's prefix-sum fold cannot split its rows across groups,
   // so grouping below the fragmentation level (or on a non-fragmentation
@@ -702,63 +706,39 @@ MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteFragments(
   const bool use_summaries =
       summaries_enabled_ && (!group.grouped || plan.AlignedGrouping());
 
-  MdhfExecution exec;
-  if (plan.FragmentCount() == 1 && cluster_frag_->num_attrs() > 0) {
-    // Single-fragment fast path (the paper's IOC1-opt shape): the one
-    // fragment id falls out of the slices directly, skipping the odometer
-    // enumeration and its std::function indirection — for a fully-covered
-    // fragment the whole query is then three prefix-sum lookups.
-    FragId id = 0;
-    bool covered = plan.coverable();
-    for (int i = 0; i < cluster_frag_->num_attrs(); ++i) {
-      const std::int64_t c = plan.slice(i).front();
-      MDW_CHECK(c >= 0 && c < cluster_frag_->CardOf(i),
-                "coordinate out of range");  // as FragmentIdOf enforces
-      id = id * cluster_frag_->CardOf(i) + c;
-      covered = covered && plan.covered(i).front();
-    }
-    const auto [begin, end] = FragmentRows(id);
-    if (use_summaries && covered) {
-      const std::int64_t gkey =
-          plan.AlignedGrouping() ? plan.GroupOfFragment(id) : -1;
-      SummaryColumns sums(*this, options.cancel);
-      FoldSummaryRun({begin, end}, sums, &exec, gkey, groups);
-      FoldIo(sums.io, &exec);
-      exec.fragments_summarized = 1;
-    } else if (begin < end && !options.covered_only) {
-      ShardSelection only;
-      only.scan.push_back({begin, end});
-      exec = ExecuteSharded(std::span(&only, 1), accesses, group, pool,
-                            options, groups);
-    }
-    AttributeWorkToFragmentShard(id, &exec);
-  } else {
-    // Directory walk: the plan's fragments are routed to their shards and
-    // map to physical row ranges; within a shard, adjacent selected
-    // fragments coalesce into maximal runs (fragment ids arrive in
-    // ascending allocation order, and the shard's layout is
-    // fragment-major, so per-shard ranges are ascending and disjoint).
-    // Fully-covered fragments split off into summary runs answered from
-    // the prefix sums; residual fragments keep the range-scan + bitmap
-    // path.
-    const std::vector<ShardSelection> selections = RouteSelectionToShards(
-        plan, num_shards_, use_summaries,
-        [&](FragId id) {
-          return shard_of_frag_[static_cast<std::size_t>(id)];
-        },
-        [&](FragId id) {
-          const auto rank = static_cast<std::size_t>(
-              frag_rank_[static_cast<std::size_t>(id)]);
-          return std::pair<std::int64_t, std::int64_t>{frag_offsets_[rank],
-                                                       frag_offsets_[rank + 1]};
-        });
-    exec = ExecuteSharded(selections, accesses, group, pool, options, groups);
+  // Directory walk: the plan's fragment runs are routed to their shards
+  // and map to physical row ranges through plain loads from the flat
+  // directory tables; within a shard, adjacent selected fragments
+  // coalesce into maximal runs (fragment ids arrive in ascending
+  // allocation order, and the shard's layout is fragment-major, so
+  // per-shard ranges are ascending and disjoint). Fully-covered fragments
+  // split off into summary runs answered from the prefix sums; residual
+  // fragments keep the range-scan + bitmap path. A one-fragment plan is
+  // simply a one-run walk.
+  std::vector<ShardSelection>& selections = scratch.selections_;
+  selections.resize(static_cast<std::size_t>(num_shards_));
+  for (ShardSelection& sel : selections) {
+    sel.scan.clear();
+    sel.summary.clear();
+    sel.summary_group.clear();
+    sel.fragments = 0;
+    sel.fragments_covered = 0;
   }
-  if (groups != nullptr) exec.groups = groups->Compact();
-  exec.degraded = options.covered_only;
-  exec.bitmaps_read = plan.BitmapsPerFragment();
-  exec.fragments_processed = plan.FragmentCount();
-  return exec;
+  const int* shard_of = shard_of_frag_.data();
+  const std::int64_t* rank = frag_rank_.data();
+  const std::int64_t* offsets = frag_offsets_.data();
+  RouteRuns(
+      plan, use_summaries,
+      [=](FragId id) {
+        const std::int64_t r = rank[id];
+        return FragmentPlace{shard_of[id], offsets[r], offsets[r + 1]};
+      },
+      std::span<ShardSelection>(selections));
+  ExecuteSharded(group, pool, options, groups, scratch, exec);
+  if (groups != nullptr) exec->groups = groups->Compact();
+  exec->degraded = options.covered_only;
+  exec->bitmaps_read = plan.BitmapsPerFragment();
+  exec->fragments_processed = plan.FragmentCount();
 }
 
 void MiniWarehouse::ResolveBitmapAccesses(
@@ -843,26 +823,13 @@ void MiniWarehouse::FoldSummaryRun(const RowRange& run, SummaryColumns& sums,
   sums.dollars.EndRun(&exec->status);
 }
 
-void MiniWarehouse::AttributeWorkToFragmentShard(FragId id,
-                                                 MdhfExecution* exec) const {
-  if (num_shards_ <= 1) return;
-  exec->shards.assign(static_cast<std::size_t>(num_shards_), {});
-  ShardWork& work = exec->shards[static_cast<std::size_t>(
-      shard_of_frag_[static_cast<std::size_t>(id)])];
-  work.fragments = 1;
-  work.rows_scanned = exec->rows_scanned;
-  work.rows_summarized = exec->rows_summarized;
-  work.fragments_summarized = exec->fragments_summarized;
-  work.pages_read = exec->pages_read;
-  work.buffer_hits = exec->buffer_hits;
-  work.bytes_read = exec->bytes_read;
-}
-
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteSharded(
-    std::span<const ShardSelection> selections,
-    const std::vector<BitmapAccess>& accesses, const GroupContext& group,
-    const ThreadPool* pool, const ExecOptions& options,
-    GroupAccum* groups) const {
+void MiniWarehouse::ExecuteSharded(const GroupContext& group,
+                                   const ThreadPool* pool,
+                                   const ExecOptions& options,
+                                   GroupAccum* groups, ExecScratch& scratch,
+                                   MdhfExecution* out) const {
+  const std::vector<ShardSelection>& selections = scratch.selections_;
+  const std::vector<BitmapAccess>& accesses = scratch.accesses_;
   // Cut every shard's scan ranges with ONE global grain (a few chunks per
   // lane across all shards), so stealing has granularity even when one
   // shard holds most of the work. Covered-only degraded execution drops
@@ -873,8 +840,10 @@ MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteSharded(
   std::int64_t total_scan = 0;
   for (const auto& sel : selections) total_scan += sel.ScanRows();
   const std::int64_t grain = ChunkGrain(total_scan, lanes);
-  std::vector<RowRange> chunks;
-  std::vector<std::size_t> first(selections.size() + 1, 0);
+  std::vector<RowRange>& chunks = scratch.chunks_;
+  std::vector<std::size_t>& first = scratch.first_;
+  chunks.clear();
+  first.assign(selections.size() + 1, 0);
   for (std::size_t s = 0; s < selections.size(); ++s) {
     if (!options.covered_only) CutRanges(selections[s].scan, grain, &chunks);
     first[s + 1] = chunks.size();
@@ -884,15 +853,15 @@ MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteSharded(
   // idle lanes steal) or a serial loop fill them, and the merge below is
   // the only point that reads them — in fixed (shard, chunk) order, so
   // the record is bit-identical at any worker count.
-  std::vector<MdhfExecution> partials(chunks.size());
+  std::vector<MdhfExecution>& partials = scratch.partials_;
+  partials.clear();
+  partials.resize(chunks.size());
   // Grouped runs mirror the scan partials with per-chunk group
   // accumulators merged below — element-wise integer sums, so the merge
   // order never changes the grouped result.
-  std::vector<GroupAccum> gpartials;
-  if (groups != nullptr) {
-    gpartials.resize(chunks.size());
-    for (auto& g : gpartials) g.Reset(group.card);
-  }
+  std::vector<GroupAccum>& gpartials = scratch.chunk_groups_;
+  gpartials.resize(groups != nullptr ? chunks.size() : 0);
+  for (auto& g : gpartials) g.Reset(group.card);
   const auto scan = [&](std::size_t slot) {
     ScanChunk(chunks[slot].begin, chunks[slot].end, accesses, group,
               options.cancel, &partials[slot],
@@ -924,8 +893,9 @@ MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteSharded(
 
   // Fixed-order merge: shards ascending; within a shard, scan chunks in
   // range order, then the shard's summary runs — all-integer sums, one
-  // merge sequence regardless of scheduling.
-  MdhfExecution exec;
+  // merge sequence regardless of scheduling. A shard the plan routed
+  // nothing to keeps its all-zero work record.
+  MdhfExecution& exec = *out;
   const bool sharded = num_shards_ > 1;
   if (sharded) {
     exec.shards.assign(static_cast<std::size_t>(num_shards_), {});
@@ -933,6 +903,7 @@ MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteSharded(
   std::optional<SummaryColumns> sums;  // opened at the first summary run
   for (std::size_t s = 0; s < selections.size(); ++s) {
     const ShardSelection& sel = selections[s];
+    if (sel.fragments == 0) continue;
     ShardWork work;
     work.fragments = sel.fragments;
     work.fragments_summarized = sel.fragments_covered;
@@ -970,7 +941,6 @@ MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteSharded(
     if (sharded) exec.shards[s] = work;
   }
   if (!all_ran) exec.status.Update(options.cancel.CancelStatus());
-  return exec;
 }
 
 }  // namespace mdw

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -69,17 +68,11 @@ class MiniWarehouse {
   };
 
  public:
-  /// Reusable per-batch execution buffers (opaque): pass the same scratch
-  /// to consecutive ExecuteWithPlan calls to avoid a heap allocation per
-  /// query. Not thread-safe; use one scratch per executing thread.
-  class ExecScratch {
-   public:
-    ExecScratch() = default;
-
-   private:
-    friend class MiniWarehouse;
-    std::vector<BitmapAccess> accesses_;
-  };
+  /// Reusable execution buffers (opaque; defined below MdhfExecution):
+  /// pass the same scratch to consecutive ExecuteWithPlan calls to avoid
+  /// the per-query heap allocations of routing and scheduling. Not
+  /// thread-safe; use one scratch per executing thread.
+  class ExecScratch;
 
   /// Resolved grouping of one execution (derived from the plan):
   /// a fact row's group key is its group-dimension leaf / leaves_per.
@@ -350,6 +343,25 @@ class MiniWarehouse {
     friend bool operator==(const MdhfExecution& a,
                            const MdhfExecution& b) = default;
   };
+
+  class ExecScratch {
+   public:
+    ExecScratch() = default;
+
+   private:
+    friend class MiniWarehouse;
+    std::vector<BitmapAccess> accesses_;
+    /// Routed per-shard work, one selection per shard.
+    std::vector<ShardSelection> selections_;
+    /// ExecuteSharded's scan chunks (shard-major), each shard's first
+    /// chunk, and one partial per chunk.
+    std::vector<RowRange> chunks_;
+    std::vector<std::size_t> first_;
+    std::vector<MdhfExecution> partials_;
+    /// Grouped executions: the query's accumulator and one per chunk.
+    GroupAccum groups_;
+    std::vector<GroupAccum> chunk_groups_;
+  };
   /// The MDHF execution: runs `query` under `plan` (derived by the
   /// caller, typically once per batch through Warehouse's plan cache)
   /// without re-planning. The plan's fragmentation must match the
@@ -361,8 +373,8 @@ class MiniWarehouse {
   /// partial that is merged in fixed order, so the record — counters
   /// included — is identical for any worker count (nullptr = serial).
   /// `scratch` reuses its buffers instead of allocating per query
-  /// (nullptr = allocate locally); batch drivers pass one scratch across
-  /// their loop. `options` threads cooperative cancellation and
+  /// (nullptr = the calling thread's own scratch); batch drivers pass one
+  /// scratch across their loop. `options` threads cooperative cancellation and
   /// covered-only degradation through the execution: when options.cancel
   /// trips mid-execution the remaining chunks are abandoned and the
   /// record's status carries the token's typed error
@@ -402,12 +414,13 @@ class MiniWarehouse {
                            GroupAccum* groups) const;
   void ResolveBitmapAccesses(const StarQuery& query, const QueryPlan& plan,
                              std::vector<BitmapAccess>* out) const;
-  /// ExecuteWithPlan past its checks: the single-fragment fast path or
-  /// the routed directory walk, then the record's plan-derived facts.
-  MdhfExecution ExecuteFragments(const QueryPlan& plan,
-                                 const std::vector<BitmapAccess>& accesses,
-                                 const ThreadPool* pool,
-                                 const ExecOptions& options) const;
+  /// ExecuteWithPlan past its checks: routes the plan's fragment runs to
+  /// their shards through the flat directory tables, executes them into
+  /// the fresh record `exec`, and fills in its plan-derived facts. The
+  /// bitmap accesses are already resolved into `scratch`.
+  void ExecuteFragments(const QueryPlan& plan, const ThreadPool* pool,
+                        const ExecOptions& options, ExecScratch& scratch,
+                        MdhfExecution* exec) const;
   /// Aggregates rows [begin, end) of the clustered layout under the
   /// accesses' bitmap filters (evaluated over the range only), reading
   /// the columns through per-chunk readers (which, file-backed, also
@@ -419,15 +432,13 @@ class MiniWarehouse {
                  const std::vector<BitmapAccess>& accesses,
                  const GroupContext& group, const CancellationToken& cancel,
                  MdhfExecution* partial, GroupAccum* groups) const;
-  /// Executes routed per-shard selections: affinity tasks + stealing on
-  /// `pool` (serial in shard order without one), fixed-order merge.
-  /// Selection s reports as shard s.
-  MdhfExecution ExecuteSharded(std::span<const ShardSelection> selections,
-                               const std::vector<BitmapAccess>& accesses,
-                               const GroupContext& group,
-                               const ThreadPool* pool,
-                               const ExecOptions& options,
-                               GroupAccum* groups) const;
+  /// Executes the per-shard selections routed into `scratch` into the
+  /// fresh record `out`: affinity tasks + stealing on `pool` (serial in
+  /// shard order without one), fixed-order merge. Selection s reports as
+  /// shard s.
+  void ExecuteSharded(const GroupContext& group, const ThreadPool* pool,
+                      const ExecOptions& options, GroupAccum* groups,
+                      ExecScratch& scratch, MdhfExecution* out) const;
   /// The prefix-sum readers one execution folds all its summary runs
   /// through, and the I/O they accrue (the caller folds `io` into its
   /// record). Built in place: the readers point at `io`.
@@ -451,10 +462,6 @@ class MiniWarehouse {
   void FoldSummaryRun(const RowRange& run, SummaryColumns& sums,
                       MdhfExecution* exec, std::int64_t group_key = -1,
                       GroupAccum* groups = nullptr) const;
-  /// Fills exec->shards by attributing the record's entire work to the
-  /// shard owning fragment `id` — the single-fragment counterpart of
-  /// ExecuteSharded's per-shard merge. No-op when unsharded.
-  void AttributeWorkToFragmentShard(FragId id, MdhfExecution* exec) const;
 
   StarSchema schema_;
   std::int64_t row_count_ = 0;

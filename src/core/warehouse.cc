@@ -1,6 +1,7 @@
 #include "core/warehouse.h"
 
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "workload/query_parser.h"
@@ -133,11 +134,54 @@ BatchOutcome Warehouse::Serve(std::span<const Arrival> arrivals,
   MDW_CHECK(backend_->kind() == BackendKind::kMaterialized,
             "Serve() needs BackendKind::kMaterialized — the simulated "
             "backend models multi-user streams via ExecuteBatch(streams)");
+  const auto* backend =
+      static_cast<const MaterializedBackend*>(backend_.get());
+  std::vector<Status> statuses;
+  statuses.reserve(arrivals.size());
   std::vector<QueryPlan> plans;
   plans.reserve(arrivals.size());
-  for (const auto& a : arrivals) plans.push_back(*PlanShared(a.query));
-  return static_cast<const MaterializedBackend*>(backend_.get())
-      ->Serve(arrivals, plans, config, schedule_out);
+  for (const auto& a : arrivals) {
+    statuses.push_back(a.query.Validate(*schema_));
+    if (statuses.back().ok()) plans.push_back(*PlanShared(a.query));
+  }
+  if (plans.size() == arrivals.size()) {
+    return backend->Serve(arrivals, plans, config, schedule_out);
+  }
+
+  // Serve the valid arrivals as a trace of their own, then map its
+  // schedule back to trace indices and put every rejected arrival's
+  // outcome in its place: served outcomes are in admission order, which
+  // is ascending trace order.
+  std::vector<Arrival> valid;
+  std::vector<std::int64_t> trace_index;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    if (!statuses[i].ok()) continue;
+    valid.push_back(arrivals[i]);
+    trace_index.push_back(static_cast<std::int64_t>(i));
+  }
+  ServeSchedule schedule;
+  BatchOutcome batch = backend->Serve(valid, plans, config, &schedule);
+  std::vector<bool> served(arrivals.size(), false);
+  for (ScheduledQuery& q : schedule.admitted) {
+    q.arrival_index = trace_index[static_cast<std::size_t>(q.arrival_index)];
+    served[static_cast<std::size_t>(q.arrival_index)] = q.served;
+  }
+  for (std::int64_t& r : schedule.rejected) {
+    r = trace_index[static_cast<std::size_t>(r)];
+  }
+  std::vector<QueryOutcome> outcomes;
+  outcomes.reserve(batch.queries.size() + arrivals.size() - valid.size());
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    if (!statuses[i].ok()) {
+      outcomes.push_back(Rejected(std::move(statuses[i])));
+    } else if (served[i]) {
+      outcomes.push_back(std::move(batch.queries[next++]));
+    }
+  }
+  batch.queries = std::move(outcomes);
+  if (schedule_out != nullptr) *schedule_out = std::move(schedule);
+  return batch;
 }
 
 const MiniWarehouse* Warehouse::materialized() const { return mini_.get(); }

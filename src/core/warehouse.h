@@ -174,6 +174,11 @@ class Warehouse {
   /// they reproduce bit-for-bit regardless of thread timing. Every
   /// served query's QueryOutcome is bit-identical to Execute() of the
   /// same query. `schedule_out` (optional) receives the full schedule.
+  /// An arrival that fails StarQuery::Validate is neither planned nor
+  /// scheduled: its outcome (kInvalidArgument, no aggregate or table)
+  /// sits among the served outcomes in trace order, and the schedule and
+  /// serving metrics cover the valid arrivals only (their arrival
+  /// indices still refer to `arrivals`).
   BatchOutcome Serve(std::span<const Arrival> arrivals,
                      const ServingConfig& config,
                      ServeSchedule* schedule_out = nullptr) const;

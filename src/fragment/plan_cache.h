@@ -5,9 +5,10 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
+#include <vector>
 
 #include "fragment/query_planner.h"
 #include "fragment/star_query.h"
@@ -25,8 +26,19 @@ namespace mdw {
 /// AND they aggregate the same items.
 std::string CanonicalQuerySignature(const StarQuery& query);
 
-/// A memoizing, LRU-evicting cache of derived QueryPlans, keyed by
-/// CanonicalQuerySignature. One cache serves exactly one fragmentation
+/// 64-bit hash of the structure CanonicalQuerySignature renders: equal
+/// signatures give equal hashes (predicate order and IN-list order do
+/// not matter), and distinct signatures almost always give distinct
+/// hashes. Allocates nothing. The plan cache keys its entries by it.
+std::uint64_t StructuralQueryHash(const StarQuery& query);
+
+/// A memoizing, LRU-evicting cache of derived QueryPlans. Entries are
+/// keyed by StructuralQueryHash and every hit is confirmed by a full
+/// structural comparison with the resident entry, so two queries share an
+/// entry exactly when their CanonicalQuerySignatures are equal (a hash
+/// collision costs a miss, never a wrong plan). A hit allocates nothing
+/// unless an IN list of more than 64 values arrives unsorted.
+/// One cache serves exactly one fragmentation
 /// (plans are only valid for the fragmentation they were derived from),
 /// which is why mdw::Warehouse owns one per façade and shares it between
 /// copies rather than keying entries by fragmentation as well.
@@ -72,13 +84,28 @@ class PlanCache {
   void Clear();
 
  private:
-  using LruList =
-      std::list<std::pair<std::string, std::shared_ptr<const QueryPlan>>>;
+  /// A resident plan with the canonical structure of the query it was
+  /// derived for: predicates ascending by dimension, each IN list sorted.
+  struct Entry {
+    std::uint64_t hash = 0;
+    std::vector<Predicate> predicates;
+    std::vector<AggItem> items;
+    std::optional<GroupBy> group_by;
+    std::shared_ptr<const QueryPlan> plan;
+
+    /// True iff `query` has this entry's canonical structure.
+    bool Matches(const StarQuery& query) const;
+  };
+  using LruList = std::list<Entry>;
+
+  /// The resident entry for `query` (hash `hash`), moved to the LRU front,
+  /// or nullptr. Requires mu_.
+  const Entry* FindLocked(const StarQuery& query, std::uint64_t hash) const;
 
   std::size_t capacity_;
   mutable std::mutex mu_;
   mutable LruList lru_;  ///< front = most recently used
-  std::unordered_map<std::string, LruList::iterator> by_key_;
+  std::unordered_multimap<std::uint64_t, LruList::iterator> by_hash_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

@@ -93,20 +93,42 @@ QueryPlan::QueryPlan(std::shared_ptr<const Fragmentation> fragmentation,
       if (attr.dim == group_by_->dim && group_by_->depth <= attr.depth) {
         group_attr_ = i;
         group_desc_per_ = h.DescendantsPer(group_by_->depth, attr.depth);
-        for (int j = i + 1; j < fragmentation_->num_attrs(); ++j) {
-          group_suffix_ *= fragmentation_->CardOf(j);
-        }
         break;
       }
     }
   }
-}
 
-std::int64_t QueryPlan::GroupOfFragment(FragId id) const {
-  MDW_CHECK(group_attr_ >= 0, "GroupOfFragment needs aligned grouping");
-  const std::int64_t coord =
-      (id / group_suffix_) % fragmentation_->CardOf(group_attr_);
-  return coord / group_desc_per_;
+  // Run-walk tables: per-attribute id strides, and the last slice cut
+  // wherever the value, coverage or (last attribute aligned) group breaks.
+  const int n = fragmentation_->num_attrs();
+  strides_.assign(static_cast<std::size_t>(n), 1);
+  for (int i = n - 2; i >= 0; --i) {
+    const auto u = static_cast<std::size_t>(i);
+    strides_[u] = strides_[u + 1] * fragmentation_->CardOf(i + 1);
+  }
+  for (int i = 0; i < n; ++i) {
+    for (const std::int64_t v : slices_[static_cast<std::size_t>(i)]) {
+      in_range_ = in_range_ && v >= 0 && v < fragmentation_->CardOf(i);
+    }
+  }
+  if (n > 0) {
+    const auto last = static_cast<std::size_t>(n - 1);
+    const bool group_last = group_attr_ == n - 1;
+    for (std::size_t j = 0; j < slices_[last].size(); ++j) {
+      const std::int64_t v = slices_[last][j];
+      const bool flag = covered_[last][j];
+      const std::int64_t group = group_last ? v / group_desc_per_ : -1;
+      if (!last_runs_.empty()) {
+        SliceRun& run = last_runs_.back();
+        if (run.first + run.count == v && run.covered == flag &&
+            run.group == group) {
+          ++run.count;
+          continue;
+        }
+      }
+      last_runs_.push_back({v, 1, flag, group});
+    }
+  }
 }
 
 QueryPlan::QueryPlan(const Fragmentation* fragmentation,
@@ -183,32 +205,11 @@ void QueryPlan::ForEachFragment(
 
 void QueryPlan::ForEachFragment(
     const std::function<void(FragId, bool)>& fn) const {
-  const int n = fragmentation_->num_attrs();
-  if (n == 0) {
-    fn(0, coverable_);
-    return;
-  }
-  // Mixed-radix odometer over the slices, producing ascending fragment ids
-  // because slices are sorted and later attributes vary fastest.
-  std::vector<std::size_t> cursor(static_cast<std::size_t>(n), 0);
-  std::vector<std::int64_t> coords(static_cast<std::size_t>(n));
-  while (true) {
-    bool covered = coverable_;
-    for (int i = 0; i < n; ++i) {
-      const auto u = static_cast<std::size_t>(i);
-      coords[u] = slices_[u][cursor[u]];
-      covered = covered && covered_[u][cursor[u]];
+  ForEachRun([&fn](const FragmentRun& run) {
+    for (FragId id = run.first; id < run.first + run.count; ++id) {
+      fn(id, run.covered);
     }
-    fn(fragmentation_->FragmentIdOf(coords), covered);
-    int i = n - 1;
-    while (i >= 0) {
-      auto& c = cursor[static_cast<std::size_t>(i)];
-      if (++c < slices_[static_cast<std::size_t>(i)].size()) break;
-      c = 0;
-      --i;
-    }
-    if (i < 0) break;
-  }
+  });
 }
 
 std::vector<FragId> QueryPlan::MaterializeFragments(std::int64_t cap) const {

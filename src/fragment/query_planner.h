@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "fragment/fragmentation.h"
 #include "fragment/star_query.h"
 
@@ -46,6 +47,17 @@ struct PredicateAccess {
   /// (or the suffix below the fragmentation level), or 1 for simple
   /// indices.
   int bitmaps_read = 0;
+};
+
+/// A run of consecutive fragment ids [first, first + count) of a plan's
+/// fragment set, all with the same coverage flag. `group` is the GROUP BY
+/// key every fragment of the run falls in for an aligned grouped plan
+/// (QueryPlan::AlignedGrouping()), else -1.
+struct FragmentRun {
+  FragId first = 0;
+  std::int64_t count = 0;
+  bool covered = false;
+  std::int64_t group = -1;
 };
 
 /// The fragments a query must process, represented as one value-slice per
@@ -140,9 +152,15 @@ class QueryPlan {
   std::int64_t group_card() const { return group_card_; }
   /// Leaves per GROUP BY value: a fact row's key is leaf / leaves_per.
   std::int64_t group_leaves_per() const { return group_leaves_per_; }
-  /// Group key of a fragment (requires AlignedGrouping()): the ancestor
-  /// of its coordinate on the aligned attribute at the GROUP BY depth.
-  std::int64_t GroupOfFragment(FragId id) const;
+  /// Calls fn(const FragmentRun&) for each maximal run of consecutive
+  /// fragment ids the plan selects whose fragments share one coverage
+  /// flag (and, for aligned grouped plans, one group key), in ascending
+  /// allocation order. The walk is arithmetic over the sorted slices:
+  /// adjacent values of the last slice form one run, and runs that abut
+  /// across the other attributes join, so a fully-selected fragment
+  /// range is one call. Allocates nothing.
+  template <typename Fn>
+  void ForEachRun(Fn&& fn) const;
 
   /// Enumerates the fragment ids to process, in allocation order
   /// (ascending id).
@@ -172,12 +190,75 @@ class QueryPlan {
   int group_attr_ = -1;
   std::int64_t group_card_ = 0;
   std::int64_t group_leaves_per_ = 1;
-  /// Mixed-radix helpers for GroupOfFragment: product of attribute
-  /// cardinalities after group_attr_, and descendants per group value at
-  /// the fragmentation depth.
-  std::int64_t group_suffix_ = 1;
+  /// Fragmentation-depth values per group value on the aligned
+  /// attribute: a fragment's group key is its coordinate there / this.
   std::int64_t group_desc_per_ = 1;
+
+  /// ---- Run walk (ForEachRun) ----
+
+  /// Fragment-id stride of each attribute (product of the cardinalities
+  /// after it), so a fragment id is the sum of coordinate * stride.
+  std::vector<std::int64_t> strides_;
+  /// The last slice cut into runs of consecutive values with one
+  /// coverage flag (and one group key when the last attribute is the
+  /// aligned one; -1 otherwise).
+  struct SliceRun {
+    std::int64_t first = 0;
+    std::int64_t count = 0;
+    bool covered = false;
+    std::int64_t group = -1;
+  };
+  std::vector<SliceRun> last_runs_;
+  /// True iff every slice value is a valid coordinate; the walk aborts
+  /// otherwise (an out-of-range value would alias another fragment).
+  bool in_range_ = true;
+
+  template <typename Emit>
+  void WalkRuns(int attr, FragId base, bool covered, std::int64_t group,
+                Emit& emit) const;
 };
+
+template <typename Emit>
+void QueryPlan::WalkRuns(int attr, FragId base, bool covered,
+                         std::int64_t group, Emit& emit) const {
+  const auto a = static_cast<std::size_t>(attr);
+  if (a + 1 == slices_.size()) {
+    for (const SliceRun& r : last_runs_) {
+      emit(FragmentRun{base + r.first, r.count, covered && r.covered,
+                       group >= 0 ? group : r.group});
+    }
+    return;
+  }
+  const std::vector<std::int64_t>& slice = slices_[a];
+  const std::vector<bool>& flags = covered_[a];
+  for (std::size_t j = 0; j < slice.size(); ++j) {
+    WalkRuns(attr + 1, base + slice[j] * strides_[a], covered && flags[j],
+             attr == group_attr_ ? slice[j] / group_desc_per_ : group, emit);
+  }
+}
+
+template <typename Fn>
+void QueryPlan::ForEachRun(Fn&& fn) const {
+  MDW_CHECK(in_range_, "coordinate out of range");
+  if (slices_.empty()) {
+    fn(FragmentRun{0, 1, coverable_, -1});
+    return;
+  }
+  // Runs of consecutive slice values arrive in ascending id order; one
+  // pending run absorbs each run that continues it.
+  FragmentRun pending;
+  const auto emit = [&](const FragmentRun& run) {
+    if (pending.count > 0 && pending.first + pending.count == run.first &&
+        pending.covered == run.covered && pending.group == run.group) {
+      pending.count += run.count;
+      return;
+    }
+    if (pending.count > 0) fn(pending);
+    pending = run;
+  };
+  WalkRuns(0, 0, coverable_, -1, emit);
+  if (pending.count > 0) fn(pending);
+}
 
 /// Derives QueryPlans from StarQueries for a fixed fragmentation,
 /// implementing Sec. 4.2 (query classes), Sec. 4.3 step 1-2 (fragment set

@@ -1,6 +1,6 @@
 #include "workload/query_parser.h"
 
-#include <cctype>
+#include <array>
 #include <charconv>
 #include <cstdio>
 #include <utility>
@@ -10,76 +10,96 @@ namespace mdw {
 
 namespace {
 
+// ASCII character classes from one table: the dialect is ASCII, and
+// unlike <cctype> a table neither consults the locale nor costs a call
+// per character.
+enum : unsigned char {
+  kSpace = 1,
+  kAlpha = 2,
+  kDigit = 4,
+  kWordStart = 8,  ///< letters and '_'
+  kWord = 16,      ///< letters, digits and '_'
+};
+
+constexpr std::array<unsigned char, 256> kCharClass = [] {
+  std::array<unsigned char, 256> table{};
+  for (char c = 'a'; c <= 'z'; ++c) {
+    table[static_cast<unsigned char>(c)] = kAlpha | kWordStart | kWord;
+    table[static_cast<unsigned char>(c - 'a' + 'A')] =
+        kAlpha | kWordStart | kWord;
+  }
+  for (char c = '0'; c <= '9'; ++c) {
+    table[static_cast<unsigned char>(c)] = kDigit | kWord;
+  }
+  for (const char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    table[static_cast<unsigned char>(c)] = kSpace;
+  }
+  table['_'] = kWordStart | kWord;
+  return table;
+}();
+
+bool HasClass(char c, unsigned char classes) {
+  return (kCharClass[static_cast<unsigned char>(c)] & classes) != 0;
+}
+
 /// Token stream over the SQL text: identifiers/keywords, integers, and
-/// single-character punctuation ( ) , . = *.
+/// single-character punctuation ( ) , . = *. Tokens are views into the
+/// text, so lexing allocates nothing.
 class Lexer {
  public:
   explicit Lexer(std::string_view text) : text_(text) { Advance(); }
 
-  const std::string& token() const { return token_; }
+  std::string_view token() const { return token_; }
   bool at_end() const { return token_.empty(); }
 
   /// Case-insensitive keyword/identifier comparison.
-  bool Is(const std::string& expected) const {
+  bool Is(std::string_view expected) const {
     if (token_.size() != expected.size()) return false;
     for (std::size_t i = 0; i < token_.size(); ++i) {
-      if (std::tolower(static_cast<unsigned char>(token_[i])) !=
-          std::tolower(static_cast<unsigned char>(expected[i]))) {
-        return false;
-      }
+      const char a = token_[i];
+      const char b = expected[i];
+      // Letters also match their other case (which differs in bit 5).
+      if (a != b && !(HasClass(a, kAlpha) && (a ^ 0x20) == b)) return false;
     }
     return true;
   }
 
   /// Consumes the current token if it matches.
-  bool Accept(const std::string& expected) {
+  bool Accept(std::string_view expected) {
     if (!Is(expected)) return false;
     Advance();
     return true;
   }
 
   void Advance() {
-    token_.clear();
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == text_.size()) return;
-    const char c = text_[pos_];
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      while (pos_ < text_.size() &&
-             (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-              text_[pos_] == '_')) {
-        token_.push_back(text_[pos_++]);
+    const std::size_t n = text_.size();
+    while (pos_ < n && HasClass(text_[pos_], kSpace)) ++pos_;
+    const std::size_t begin = pos_;
+    if (pos_ < n) {
+      const char c = text_[pos_++];
+      if (HasClass(c, kWordStart)) {
+        while (pos_ < n && HasClass(text_[pos_], kWord)) ++pos_;
+      } else if (HasClass(c, kDigit)) {
+        while (pos_ < n && HasClass(text_[pos_], kDigit)) ++pos_;
       }
-      return;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        token_.push_back(text_[pos_++]);
-      }
-      return;
-    }
-    token_.push_back(text_[pos_++]);
+    token_ = text_.substr(begin, pos_ - begin);
   }
 
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
-  std::string token_;
+  std::string_view token_;
 };
 
-bool IsInteger(const std::string& token) {
-  if (token.empty()) return false;
-  for (const char c : token) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
+/// True for an integer token (the lexer makes a token that starts with a
+/// digit all digits).
+bool IsInteger(std::string_view token) {
+  return !token.empty() && HasClass(token.front(), kDigit);
 }
 
 /// Parses an IsInteger token into `*out`; false when it overflows int64.
-bool ParseInt64(const std::string& token, std::int64_t* out) {
+bool ParseInt64(std::string_view token, std::int64_t* out) {
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
   return ec == std::errc() && ptr == end;
@@ -104,8 +124,8 @@ bool ParseAggExpr(Lexer& lex, AggItem* out, std::string* error) {
     return false;
   } else {
     *error =
-        "expected aggregate or * in the SELECT list, got '" + lex.token() +
-        "'";
+        "expected aggregate or * in the SELECT list, got '" +
+        std::string(lex.token()) + "'";
     return false;
   }
   lex.Advance();
@@ -136,16 +156,18 @@ bool ParseAggExpr(Lexer& lex, AggItem* out, std::string* error) {
 /// Parses <dimension> . <level> against the schema into (dim, depth).
 Status ParseAttribute(const StarSchema& schema, Lexer& lex, DimId* dim,
                       Depth* depth) {
-  const std::string dim_name = lex.token();
+  const std::string_view dim_name = lex.token();
   *dim = schema.DimensionIdOf(dim_name);
-  if (*dim < 0) return Err("unknown dimension '" + dim_name + "'");
+  if (*dim < 0) {
+    return Err("unknown dimension '" + std::string(dim_name) + "'");
+  }
   lex.Advance();
   if (!lex.Accept(".")) return Err("expected . after dimension name");
-  const std::string level_name = lex.token();
+  const std::string_view level_name = lex.token();
   *depth = schema.dimension(*dim).hierarchy().DepthOf(level_name);
   if (*depth < 0) {
-    return Err("unknown level '" + level_name + "' of dimension '" +
-               dim_name + "'");
+    return Err("unknown level '" + std::string(level_name) +
+               "' of dimension '" + std::string(dim_name) + "'");
   }
   lex.Advance();
   return Status::Ok();
@@ -159,6 +181,7 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
   // ---- SELECT list ----
   if (!lex.Accept("SELECT")) return Err("expected SELECT");
   std::vector<AggItem> items;
+  items.reserve(4);  // one allocation for the usual SELECT list
   bool any_item = false;
   while (!lex.at_end() && !lex.Is("FROM")) {
     if (lex.Accept("*")) {
@@ -180,14 +203,16 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
   // ---- FROM ----
   if (!lex.Accept("FROM")) return Err("expected FROM");
   if (!lex.Is(schema.fact_table_name())) {
-    return Err("unknown fact table '" + lex.token() + "' (expected '" +
-               schema.fact_table_name() + "')");
+    return Err("unknown fact table '" + std::string(lex.token()) +
+               "' (expected '" + schema.fact_table_name() + "')");
   }
   lex.Advance();
 
   // ---- WHERE ----
   std::vector<Predicate> predicates;
   if (lex.Accept("WHERE")) {
+    // At most one predicate per dimension, so this never reallocates.
+    predicates.reserve(static_cast<std::size_t>(schema.num_dimensions()));
     do {
       DimId dim;
       Depth depth;
@@ -212,14 +237,15 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
       if (lex.Accept("=")) {
         if (!read_value()) {
           return Err("expected a value in [0, " + std::to_string(card) +
-                     ") after =, got '" + lex.token() + "'");
+                     ") after =, got '" + std::string(lex.token()) + "'");
         }
       } else if (lex.Accept("IN")) {
         if (!lex.Accept("(")) return Err("expected ( after IN");
         do {
           if (!read_value()) {
             return Err("expected a value in [0, " + std::to_string(card) +
-                       ") in the IN list, got '" + lex.token() + "'");
+                       ") in the IN list, got '" + std::string(lex.token()) +
+                       "'");
           }
         } while (lex.Accept(","));
         if (!lex.Accept(")")) return Err("expected ) closing the IN list");
@@ -257,7 +283,7 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
       std::int64_t position = 0;
       if (!ParseInt64(lex.token(), &position) || position < 1 ||
           position > static_cast<std::int64_t>(items.size())) {
-        return Err("ORDER BY position " + lex.token() +
+        return Err("ORDER BY position " + std::string(lex.token()) +
                    " is outside the SELECT list (1.." +
                    std::to_string(items.size()) + ")");
       }
@@ -286,8 +312,8 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
     }
     if (lex.Accept("LIMIT")) {
       if (!IsInteger(lex.token()) || !ParseInt64(lex.token(), &ob.limit)) {
-        return Err("expected a row count after LIMIT, got '" + lex.token() +
-                   "'");
+        return Err("expected a row count after LIMIT, got '" +
+                   std::string(lex.token()) + "'");
       }
       lex.Advance();
       if (ob.limit < 1) return Err("LIMIT must be at least 1");
@@ -296,10 +322,11 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
   }
 
   if (!lex.at_end()) {
-    return Err("unexpected trailing input at '" + lex.token() + "'");
+    return Err("unexpected trailing input at '" + std::string(lex.token()) +
+               "'");
   }
-  return StarQuery("parsed", std::move(predicates), AggregateSpec{items},
-                   group_by, order_by);
+  return StarQuery("parsed", std::move(predicates),
+                   AggregateSpec{std::move(items)}, group_by, order_by);
 }
 
 }  // namespace mdw

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "fragment/query_planner.h"
 #include "schema/apb1.h"
 #include "workload/query_parser.h"
@@ -239,6 +244,160 @@ TEST_F(ParserTest, RejectsInt64OverflowLimit) {
       "SELECT SUM(UnitsSold) FROM sales GROUP BY time.year "
       "ORDER BY 1 LIMIT 99999999999999999999");
   EXPECT_NE(error.find("LIMIT"), std::string::npos) << error;
+}
+
+// ---------------------------------------------------------------------------
+// Grammar parity: every form of the dialect against a hand-built query.
+
+void ExpectSameQuery(const StarQuery& got, const StarQuery& want,
+                     const std::string& sql) {
+  ASSERT_EQ(got.predicates().size(), want.predicates().size()) << sql;
+  for (std::size_t i = 0; i < want.predicates().size(); ++i) {
+    EXPECT_EQ(got.predicates()[i].dim, want.predicates()[i].dim) << sql;
+    EXPECT_EQ(got.predicates()[i].depth, want.predicates()[i].depth) << sql;
+    EXPECT_EQ(got.predicates()[i].values, want.predicates()[i].values)
+        << sql;
+  }
+  EXPECT_EQ(got.aggregates(), want.aggregates()) << sql;
+  EXPECT_EQ(got.group_by(), want.group_by()) << sql;
+  EXPECT_EQ(got.order_by(), want.order_by()) << sql;
+}
+
+TEST_F(ParserTest, EveryGrammarFormParsesToTheHandBuiltQuery) {
+  constexpr AggItem kSumUnits{AggFn::kSum, MeasureId::kUnitsSold};
+  constexpr AggItem kSumDollars{AggFn::kSum, MeasureId::kDollarSales};
+  constexpr AggItem kCount{AggFn::kCount, MeasureId::kUnitsSold};
+  constexpr AggItem kAvgUnits{AggFn::kAvg, MeasureId::kUnitsSold};
+  constexpr AggItem kAvgDollars{AggFn::kAvg, MeasureId::kDollarSales};
+  struct Case {
+    std::string sql;
+    StarQuery want;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT * FROM sales", StarQuery("q", {})},
+      {"SELECT SUM(UnitsSold) FROM sales WHERE time.month = 3",
+       StarQuery("q", {{kApb1Time, 2, {3}}}, AggregateSpec{{kSumUnits}})},
+      {"SELECT SUM(DollarSales) FROM sales WHERE product.group IN (7, 3, 7)",
+       StarQuery("q", {{kApb1Product, 3, {7, 3, 7}}},
+                 AggregateSpec{{kSumDollars}})},
+      {"SELECT COUNT(*), COUNT(DollarSales) FROM sales "
+       "WHERE customer.store = 17 AND channel.channel IN (1, 2)",
+       StarQuery("q", {{kApb1Customer, 1, {17}}, {kApb1Channel, 0, {1, 2}}},
+                 AggregateSpec{{kCount, kCount}})},
+      {"SELECT AVG(UnitsSold), AVG(DollarSales), AVG(Cost) FROM sales "
+       "GROUP BY time.quarter",
+       StarQuery("q", {}, AggregateSpec{{kAvgUnits, kAvgDollars, kAvgUnits}},
+                 GroupBy{kApb1Time, 1})},
+      {"SELECT *, COUNT(*) FROM sales WHERE time.year = 1",
+       StarQuery("q", {{kApb1Time, 0, {1}}},
+                 AggregateSpec{{kSumUnits, kSumDollars, kCount}})},
+      {"SELECT SUM(UnitsSold), SUM(DollarSales) FROM sales "
+       "GROUP BY product.family ORDER BY 2 DESC LIMIT 5",
+       StarQuery("q", {}, AggregateSpec{{kSumUnits, kSumDollars}},
+                 GroupBy{kApb1Product, 2}, OrderBy{1, true, 5})},
+      {"SELECT SUM(UnitsSold), COUNT(*) FROM sales GROUP BY time.month "
+       "ORDER BY COUNT(*) ASC",
+       StarQuery("q", {}, AggregateSpec{{kSumUnits, kCount}},
+                 GroupBy{kApb1Time, 2}, OrderBy{1, false, 0})},
+      {"SELECT AVG(UnitsSold) FROM sales WHERE product.code = 950 "
+       "GROUP BY customer.retailer ORDER BY AVG(UnitsSold) LIMIT 3",
+       StarQuery("q", {{kApb1Product, 5, {950}}}, AggregateSpec{{kAvgUnits}},
+                 GroupBy{kApb1Customer, 0}, OrderBy{0, false, 3})},
+      {"SELECT COUNT(*) FROM sales GROUP BY product.line ORDER BY 1 DESC",
+       StarQuery("q", {}, AggregateSpec{{kCount}}, GroupBy{kApb1Product, 1},
+                 OrderBy{0, true, 0})},
+      // Keywords, the fact table and measure names in any case.
+      {"sElEcT sum(unitssold), Sum(DOLLARSALES) fRoM SaLeS wHeRe "
+       "time.month = 4 aNd product.group = 9 gRoUp By product.group "
+       "OrDeR bY 1 dEsC lImIt 2",
+       StarQuery("q", {{kApb1Time, 2, {4}}, {kApb1Product, 3, {9}}},
+                 AggregateSpec{{kSumUnits, kSumDollars}},
+                 GroupBy{kApb1Product, 3}, OrderBy{0, true, 2})},
+      // Whitespace of every kind between tokens, and none where allowed.
+      {"  SELECT\tSUM ( UnitsSold )\n,\r\nCOUNT ( * )   FROM   sales\v"
+       "  WHERE  time . month  IN  ( 1 ,2 )\f  ",
+       StarQuery("q", {{kApb1Time, 2, {1, 2}}},
+                 AggregateSpec{{kSumUnits, kCount}})},
+      {"SELECT SUM(UnitsSold),COUNT(*)FROM sales WHERE time.month IN(1,2)"
+       "AND product.group=5 GROUP BY time.quarter ORDER BY 2 DESC LIMIT 1",
+       StarQuery("q", {{kApb1Time, 2, {1, 2}}, {kApb1Product, 3, {5}}},
+                 AggregateSpec{{kSumUnits, kCount}}, GroupBy{kApb1Time, 1},
+                 OrderBy{1, true, 1})},
+  };
+  for (const Case& c : cases) {
+    const StarQuery got = MustParse(c.sql);
+    ExpectSameQuery(got, c.want, c.sql);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Mutation fuzz: damaged statements answer or fail typed, never abort.
+
+TEST_F(ParserTest, MutatedStatementsParseValidOrFailTyped) {
+  const std::vector<std::string> seeds = {
+      "SELECT SUM(UnitsSold), SUM(DollarSales) FROM sales "
+      "WHERE time.month = 3 AND product.group = 41",
+      "SELECT COUNT(*), AVG(DollarSales) FROM sales "
+      "WHERE product.code IN (1, 2, 50) AND customer.store = 17",
+      "SELECT * FROM sales WHERE channel.channel = 3 GROUP BY time.quarter",
+      "SELECT SUM(UnitsSold), COUNT(*) FROM sales WHERE time.year = 1 "
+      "GROUP BY product.family ORDER BY SUM(UnitsSold) DESC LIMIT 5",
+      "select avg(unitssold) from sales group by customer.retailer "
+      "order by 1 asc limit 3",
+  };
+  // Fragments worth splicing in: keywords, punctuation, names, and
+  // literals at and beyond the edges of int64.
+  const std::vector<std::string> pieces = {
+      "SELECT", "FROM", "WHERE", "AND", "IN", "GROUP", "BY", "ORDER",
+      "LIMIT", "DESC", "ASC", "SUM", "COUNT", "AVG", "MIN", "(", ")", ",",
+      ".", "=", "*", " ", "sales", "time", "month", "product", "group",
+      "0", "-1", "999999", "9223372036854775807", "9223372036854775808",
+      "99999999999999999999", "\t", "_x"};
+  std::mt19937_64 rng(20260907);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  int parsed = 0;
+  int rejected = 0;
+  for (int i = 0; i < 12000; ++i) {
+    std::string sql = seeds[pick(seeds.size())];
+    const int edits = 1 + static_cast<int>(pick(3));
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t pos = pick(sql.size() + 1);
+      switch (pick(5)) {
+        case 0:  // byte flip
+          if (pos < sql.size()) {
+            sql[pos] = static_cast<char>(
+                static_cast<unsigned char>(sql[pos]) ^ (1u << pick(8)));
+          }
+          break;
+        case 1:  // random byte inserted
+          sql.insert(pos, 1, static_cast<char>(pick(256)));
+          break;
+        case 2:  // piece inserted
+          sql.insert(pos, pieces[pick(pieces.size())]);
+          break;
+        case 3:  // span deleted
+          sql.erase(pos, 1 + pick(8));
+          break;
+        default:  // truncated
+          sql.resize(pos);
+          break;
+      }
+    }
+    const auto query = ParseSql(schema_, sql);
+    if (query.ok()) {
+      ++parsed;
+      EXPECT_TRUE(query->Validate(schema_).ok()) << sql;
+    } else {
+      ++rejected;
+      EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument) << sql;
+      EXPECT_FALSE(query.status().message().empty()) << sql;
+    }
+  }
+  // The mutations exercise both outcomes.
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(rejected, 1000);
 }
 
 }  // namespace

@@ -176,6 +176,46 @@ TEST(WarehouseValidationTest, BatchRejectsInvalidQueriesInTheirSlots) {
   EXPECT_EQ(rejected.total_aggregate->rows, 0);
 }
 
+TEST(WarehouseValidationTest, ServeRejectsInvalidArrivalsInTheirSlots) {
+  const Warehouse warehouse = TinyMaterialized();
+  const StarQuery bad_month("month 999", {{kApb1Time, 2, {999}}});
+
+  // A one-arrival trace of an invalid query is answered, not aborted.
+  const std::vector<Arrival> lone = {{0, 0, bad_month}};
+  ServeSchedule lone_schedule;
+  const auto lone_batch = warehouse.Serve(lone, {}, &lone_schedule);
+  ASSERT_EQ(lone_batch.queries.size(), 1u);
+  ExpectRejected(lone_batch.queries[0], "lone invalid arrival");
+  EXPECT_TRUE(lone_schedule.admitted.empty());
+
+  const std::vector<Arrival> trace = {
+      {0, 0, apb1_queries::OneMonth(1)},
+      {0, 1, bad_month},
+      {5, 0, apb1_queries::OneQuarter(2)},
+      {5, 1, apb1_queries::OneMonth(5).WithGroupBy({kApb1Product, 11})},
+      {9, 0, apb1_queries::OneMonthOneGroup(3, 7)}};
+  ServeSchedule schedule;
+  const auto batch = warehouse.Serve(trace, {}, &schedule);
+  ASSERT_EQ(batch.queries.size(), trace.size());
+  EXPECT_EQ(batch.queries[0], warehouse.Execute(trace[0].query));
+  ExpectRejected(batch.queries[1], "serve slot 1");
+  EXPECT_EQ(batch.queries[2], warehouse.Execute(trace[2].query));
+  ExpectRejected(batch.queries[3], "serve slot 3");
+  EXPECT_EQ(batch.queries[4], warehouse.Execute(trace[4].query));
+
+  // Only the valid arrivals were scheduled, under their trace indices.
+  ASSERT_EQ(schedule.admitted.size(), 3u);
+  EXPECT_EQ(schedule.admitted[0].arrival_index, 0);
+  EXPECT_EQ(schedule.admitted[1].arrival_index, 2);
+  EXPECT_EQ(schedule.admitted[2].arrival_index, 4);
+  ASSERT_TRUE(batch.serving.has_value());
+  EXPECT_EQ(batch.serving->total.admitted, 3);
+  ASSERT_TRUE(batch.total_aggregate.has_value());
+  EXPECT_EQ(batch.total_aggregate->rows, batch.queries[0].aggregate->rows +
+                                             batch.queries[2].aggregate->rows +
+                                             batch.queries[4].aggregate->rows);
+}
+
 // ---------------------------------------------------------------------------
 // Lifetime: plans and copies must not dangle when the original façade (or
 // the objects it was built from) go away — the hazard of the raw-pointer
