@@ -823,36 +823,32 @@ void MiniWarehouse::FoldSummaryRun(const RowRange& run, SummaryColumns& sums,
   sums.dollars.EndRun(&exec->status);
 }
 
-void MiniWarehouse::ExecuteSharded(const GroupContext& group,
-                                   const ThreadPool* pool,
-                                   const ExecOptions& options,
-                                   GroupAccum* groups, ExecScratch& scratch,
-                                   MdhfExecution* out) const {
+bool MiniWarehouse::ScanShards(std::int64_t total_scan,
+                              const GroupContext& group,
+                              const ThreadPool* pool,
+                              const ExecOptions& options, GroupAccum* groups,
+                              ExecScratch& scratch) const {
   const std::vector<ShardSelection>& selections = scratch.selections_;
   const std::vector<BitmapAccess>& accesses = scratch.accesses_;
   // Cut every shard's scan ranges with ONE global grain (a few chunks per
   // lane across all shards), so stealing has granularity even when one
-  // shard holds most of the work. Covered-only degraded execution drops
-  // the scan side entirely — residual fragments are skipped, not
-  // partially scanned — leaving just the summary folds below. Chunks are
-  // shard-major: shard s owns chunks [first[s], first[s + 1]).
+  // shard holds most of the work. Chunks are shard-major: shard s owns
+  // chunks [first[s], first[s + 1]).
   const int lanes = pool == nullptr ? 1 : pool->size() + 1;
-  std::int64_t total_scan = 0;
-  for (const auto& sel : selections) total_scan += sel.ScanRows();
   const std::int64_t grain = ChunkGrain(total_scan, lanes);
   std::vector<RowRange>& chunks = scratch.chunks_;
   std::vector<std::size_t>& first = scratch.first_;
   chunks.clear();
   first.assign(selections.size() + 1, 0);
   for (std::size_t s = 0; s < selections.size(); ++s) {
-    if (!options.covered_only) CutRanges(selections[s].scan, grain, &chunks);
+    CutRanges(selections[s].scan, grain, &chunks);
     first[s + 1] = chunks.size();
   }
 
   // One private partial per chunk; affinity tasks (one queue per shard,
-  // idle lanes steal) or a serial loop fill them, and the merge below is
-  // the only point that reads them — in fixed (shard, chunk) order, so
-  // the record is bit-identical at any worker count.
+  // idle lanes steal) or a serial loop fill them, and the merge in
+  // ExecuteSharded is the only point that reads them — in fixed (shard,
+  // chunk) order, so the record is bit-identical at any worker count.
   std::vector<MdhfExecution>& partials = scratch.partials_;
   partials.clear();
   partials.resize(chunks.size());
@@ -869,7 +865,8 @@ void MiniWarehouse::ExecuteSharded(const GroupContext& group,
   };
   bool all_ran = true;
   if (pool != nullptr && chunks.size() >= 2) {
-    std::vector<std::int64_t> queue_sizes(selections.size());
+    std::vector<std::int64_t>& queue_sizes = scratch.queue_sizes_;
+    queue_sizes.resize(selections.size());
     for (std::size_t s = 0; s < selections.size(); ++s) {
       queue_sizes[s] = static_cast<std::int64_t>(first[s + 1] - first[s]);
     }
@@ -890,6 +887,27 @@ void MiniWarehouse::ExecuteSharded(const GroupContext& group,
     }
   }
   for (const auto& g : gpartials) groups->Merge(g);
+  return all_ran;
+}
+
+void MiniWarehouse::ExecuteSharded(const GroupContext& group,
+                                   const ThreadPool* pool,
+                                   const ExecOptions& options,
+                                   GroupAccum* groups, ExecScratch& scratch,
+                                   MdhfExecution* out) const {
+  const std::vector<ShardSelection>& selections = scratch.selections_;
+  // Covered-only degraded execution drops the scan side entirely —
+  // residual fragments are skipped, not partially scanned — leaving just
+  // the summary folds below; so does a plan without residual rows.
+  std::int64_t total_scan = 0;
+  if (!options.covered_only) {
+    for (const auto& sel : selections) total_scan += sel.ScanRows();
+  }
+  const bool scanned = total_scan > 0;
+  bool all_ran =
+      !scanned || ScanShards(total_scan, group, pool, options, groups, scratch);
+  const std::vector<std::size_t>& first = scratch.first_;
+  const std::vector<MdhfExecution>& partials = scratch.partials_;
 
   // Fixed-order merge: shards ascending; within a shard, scan chunks in
   // range order, then the shard's summary runs — all-integer sums, one
@@ -907,13 +925,15 @@ void MiniWarehouse::ExecuteSharded(const GroupContext& group,
     ShardWork work;
     work.fragments = sel.fragments;
     work.fragments_summarized = sel.fragments_covered;
-    for (std::size_t slot = first[s]; slot < first[s + 1]; ++slot) {
-      const MdhfExecution& p = partials[slot];
-      MergeScanPartial(p, &exec);
-      work.rows_scanned += p.rows_scanned;
-      work.pages_read += p.pages_read;
-      work.buffer_hits += p.buffer_hits;
-      work.bytes_read += p.bytes_read;
+    if (scanned) {
+      for (std::size_t slot = first[s]; slot < first[s + 1]; ++slot) {
+        const MdhfExecution& p = partials[slot];
+        MergeScanPartial(p, &exec);
+        work.rows_scanned += p.rows_scanned;
+        work.pages_read += p.pages_read;
+        work.buffer_hits += p.buffer_hits;
+        work.bytes_read += p.bytes_read;
+      }
     }
     if (!sel.summary.empty() && !sums.has_value()) {
       sums.emplace(*this, options.cancel);

@@ -353,11 +353,12 @@ class MiniWarehouse {
     std::vector<BitmapAccess> accesses_;
     /// Routed per-shard work, one selection per shard.
     std::vector<ShardSelection> selections_;
-    /// ExecuteSharded's scan chunks (shard-major), each shard's first
-    /// chunk, and one partial per chunk.
+    /// ScanShards' scan chunks (shard-major), each shard's first chunk,
+    /// one partial per chunk, and each shard's chunk count.
     std::vector<RowRange> chunks_;
     std::vector<std::size_t> first_;
     std::vector<MdhfExecution> partials_;
+    std::vector<std::int64_t> queue_sizes_;
     /// Grouped executions: the query's accumulator and one per chunk.
     GroupAccum groups_;
     std::vector<GroupAccum> chunk_groups_;
@@ -432,10 +433,17 @@ class MiniWarehouse {
                  const std::vector<BitmapAccess>& accesses,
                  const GroupContext& group, const CancellationToken& cancel,
                  MdhfExecution* partial, GroupAccum* groups) const;
+  /// Scans the per-shard selections' `total_scan` (> 0) residual rows
+  /// into one partial per chunk in `scratch`: affinity tasks + stealing
+  /// on `pool` (serial in shard order without one). Returns whether every
+  /// chunk ran (false once options.cancel trips).
+  bool ScanShards(std::int64_t total_scan, const GroupContext& group,
+                  const ThreadPool* pool, const ExecOptions& options,
+                  GroupAccum* groups, ExecScratch& scratch) const;
   /// Executes the per-shard selections routed into `scratch` into the
-  /// fresh record `out`: affinity tasks + stealing on `pool` (serial in
-  /// shard order without one), fixed-order merge. Selection s reports as
-  /// shard s.
+  /// fresh record `out`: the residual scan (ScanShards, skipped when no
+  /// rows are left to scan), then a fixed-order merge with the summary
+  /// folds. Selection s reports as shard s.
   void ExecuteSharded(const GroupContext& group, const ThreadPool* pool,
                       const ExecOptions& options, GroupAccum* groups,
                       ExecScratch& scratch, MdhfExecution* out) const;

@@ -144,14 +144,11 @@ BatchOutcome Warehouse::Serve(std::span<const Arrival> arrivals,
     statuses.push_back(a.query.Validate(*schema_));
     if (statuses.back().ok()) plans.push_back(*PlanShared(a.query));
   }
-  if (plans.size() == arrivals.size()) {
-    return backend->Serve(arrivals, plans, config, schedule_out);
-  }
 
   // Serve the valid arrivals as a trace of their own, then map its
   // schedule back to trace indices and put every rejected arrival's
   // outcome in its place: served outcomes are in admission order, which
-  // is ascending trace order.
+  // is ascending trace order (the scheduler admits arrivals in order).
   std::vector<Arrival> valid;
   std::vector<std::int64_t> trace_index;
   for (std::size_t i = 0; i < arrivals.size(); ++i) {

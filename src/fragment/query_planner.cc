@@ -98,17 +98,25 @@ QueryPlan::QueryPlan(std::shared_ptr<const Fragmentation> fragmentation,
     }
   }
 
-  // Run-walk tables: per-attribute id strides, and the last slice cut
-  // wherever the value, coverage or (last attribute aligned) group breaks.
+  // Run-walk tables: every leading slice value as a step (id offset,
+  // coverage, group key), and the last slice cut wherever the value,
+  // coverage or (last attribute aligned) group breaks.
   const int n = fragmentation_->num_attrs();
-  strides_.assign(static_cast<std::size_t>(n), 1);
-  for (int i = n - 2; i >= 0; --i) {
-    const auto u = static_cast<std::size_t>(i);
-    strides_[u] = strides_[u + 1] * fragmentation_->CardOf(i + 1);
-  }
   for (int i = 0; i < n; ++i) {
     for (const std::int64_t v : slices_[static_cast<std::size_t>(i)]) {
       in_range_ = in_range_ && v >= 0 && v < fragmentation_->CardOf(i);
+    }
+  }
+  std::int64_t stride = 1;
+  lead_steps_.resize(static_cast<std::size_t>(std::max(n - 1, 0)));
+  for (int i = n - 2; i >= 0; --i) {
+    const auto u = static_cast<std::size_t>(i);
+    stride *= fragmentation_->CardOf(i + 1);
+    for (std::size_t j = 0; j < slices_[u].size(); ++j) {
+      const std::int64_t v = slices_[u][j];
+      lead_steps_[u].push_back(
+          {v * stride, covered_[u][j], i == group_attr_ ? v / group_desc_per_
+                                                        : -1});
     }
   }
   if (n > 0) {

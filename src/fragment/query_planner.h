@@ -196,9 +196,16 @@ class QueryPlan {
 
   /// ---- Run walk (ForEachRun) ----
 
-  /// Fragment-id stride of each attribute (product of the cardinalities
-  /// after it), so a fragment id is the sum of coordinate * stride.
-  std::vector<std::int64_t> strides_;
+  /// Each value of a leading slice (every attribute but the last) as a
+  /// walk step: its fragment-id offset (value times the product of the
+  /// cardinalities after the attribute), its coverage flag, and its group
+  /// key when the attribute is the aligned one (-1 otherwise).
+  struct SliceStep {
+    std::int64_t offset = 0;
+    bool covered = false;
+    std::int64_t group = -1;
+  };
+  std::vector<std::vector<SliceStep>> lead_steps_;
   /// The last slice cut into runs of consecutive values with one
   /// coverage flag (and one group key when the last attribute is the
   /// aligned one; -1 otherwise).
@@ -214,26 +221,23 @@ class QueryPlan {
   bool in_range_ = true;
 
   template <typename Emit>
-  void WalkRuns(int attr, FragId base, bool covered, std::int64_t group,
-                Emit& emit) const;
+  void WalkRuns(std::size_t attr, FragId base, bool covered,
+                std::int64_t group, Emit& emit) const;
 };
 
 template <typename Emit>
-void QueryPlan::WalkRuns(int attr, FragId base, bool covered,
+void QueryPlan::WalkRuns(std::size_t attr, FragId base, bool covered,
                          std::int64_t group, Emit& emit) const {
-  const auto a = static_cast<std::size_t>(attr);
-  if (a + 1 == slices_.size()) {
+  if (attr == lead_steps_.size()) {
     for (const SliceRun& r : last_runs_) {
       emit(FragmentRun{base + r.first, r.count, covered && r.covered,
                        group >= 0 ? group : r.group});
     }
     return;
   }
-  const std::vector<std::int64_t>& slice = slices_[a];
-  const std::vector<bool>& flags = covered_[a];
-  for (std::size_t j = 0; j < slice.size(); ++j) {
-    WalkRuns(attr + 1, base + slice[j] * strides_[a], covered && flags[j],
-             attr == group_attr_ ? slice[j] / group_desc_per_ : group, emit);
+  for (const SliceStep& step : lead_steps_[attr]) {
+    WalkRuns(attr + 1, base + step.offset, covered && step.covered,
+             step.group >= 0 ? step.group : group, emit);
   }
 }
 
