@@ -65,8 +65,10 @@ void BM_EncodedIndexSelect(benchmark::State& state) {
                                 {"class", 960},
                                 {"code", 14'400}});
   mdw::Rng rng(2);
-  std::vector<std::int64_t> column;
-  for (int i = 0; i < 100'000; ++i) column.push_back(rng.Uniform(0, 14'399));
+  std::vector<mdw::LeafKey> column;
+  for (int i = 0; i < 100'000; ++i) {
+    column.push_back(static_cast<mdw::LeafKey>(rng.Uniform(0, 14'399)));
+  }
   const mdw::EncodedBitmapIndex index(product, column);
   const auto depth = static_cast<mdw::Depth>(state.range(0));
   std::int64_t v = 0;
@@ -290,6 +292,16 @@ const mdw::Warehouse& MediumWarehouse() {
   return *wh;
 }
 
+// Column bytes a residual scan of `rows` rows reads: the two int32_t
+// measures, plus the LeafKey group-key column when the scan is grouped.
+// Benches report it through SetBytesProcessed, so bytes_per_second shows
+// how close a scan runs to memory bandwidth.
+std::int64_t ScanColumnBytes(std::int64_t rows, bool grouped) {
+  const auto row_bytes = static_cast<std::int64_t>(
+      2 * sizeof(std::int32_t) + (grouped ? sizeof(mdw::LeafKey) : 0));
+  return rows * row_bytes;
+}
+
 // Fragment confinement: rows_scanned per query tracks the plan's fragment
 // set, so wall time drops superlinearly with selectivity (arg 0 = no
 // support / all fragments, 1 = 1MONTH / 1 of 24 months, 2 = 1MONTH1GROUP
@@ -396,6 +408,9 @@ void BM_GroupByRollup(benchmark::State& state) {
   state.SetLabel(std::string("group_d") + std::to_string(group_by.depth) +
                  "_dim" + std::to_string(group_by.dim) +
                  (summaries_off ? "/summaries_off" : ""));
+  state.SetBytesProcessed(state.iterations() *
+                          ScanColumnBytes(outcome.rows_scanned,
+                                          /*grouped=*/true));
   state.counters["groups"] =
       static_cast<double>(outcome.table->rows.size());
   state.counters["rows_scanned_per_query"] =
@@ -559,6 +574,9 @@ void BM_MdhfPagedScan(benchmark::State& state) {
     exec = mini.ExecuteWithPlan(query, plan);
     benchmark::DoNotOptimize(exec.result.rows);
   }
+  state.SetBytesProcessed(state.iterations() *
+                          ScanColumnBytes(exec.rows_scanned,
+                                          /*grouped=*/false));
   state.SetLabel(std::string(cold ? "cold" : "warm") + "/pool_" +
                  std::to_string(pool_pct) + "pct");
   state.counters["pool_pages"] = static_cast<double>(options.pool_pages);
@@ -592,6 +610,8 @@ void BM_MdhfParallelScan(benchmark::State& state) {
     rows_scanned = exec.rows_scanned;
     benchmark::DoNotOptimize(exec.result.rows);
   }
+  state.SetBytesProcessed(state.iterations() *
+                          ScanColumnBytes(rows_scanned, /*grouped=*/false));
   state.counters["workers"] = static_cast<double>(workers);
   state.counters["rows_scanned_per_query"] =
       static_cast<double>(rows_scanned);

@@ -2,6 +2,7 @@
 #define MDW_BITMAP_ENCODED_BITMAP_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bitmap/bitvector.h"
@@ -23,7 +24,7 @@ namespace mdw {
 class EncodedBitmapIndex {
  public:
   EncodedBitmapIndex(const Hierarchy& hierarchy,
-                     const std::vector<std::int64_t>& fk_column);
+                     std::span<const LeafKey> fk_column);
 
   /// Number of bit-slice bitmaps (15 for APB-1 PRODUCT, 12 for CUSTOMER).
   int bitmap_count() const { return bitmap_count_; }

@@ -12,11 +12,11 @@
 namespace mdw {
 
 /// The fact table's foreign-key columns: `columns[dim][row]` is the leaf
-/// value of dimension `dim` referenced by fact row `row`. This is the
-/// materialised representation used by the functional (in-memory) path on
-/// scaled-down schemas.
+/// value of dimension `dim` referenced by fact row `row`, stored at its
+/// natural two-byte width. This is the materialised representation used by
+/// the functional (in-memory) path on scaled-down schemas.
 struct FactColumns {
-  std::vector<std::vector<std::int64_t>> columns;
+  std::vector<std::vector<LeafKey>> columns;
 
   std::int64_t row_count() const {
     return columns.empty() ? 0

@@ -5,7 +5,7 @@
 namespace mdw {
 
 SimpleBitmapIndex::SimpleBitmapIndex(
-    const Hierarchy& hierarchy, const std::vector<std::int64_t>& fk_column)
+    const Hierarchy& hierarchy, std::span<const LeafKey> fk_column)
     : hierarchy_(hierarchy),
       row_count_(static_cast<std::int64_t>(fk_column.size())),
       bitmap_count_(0) {

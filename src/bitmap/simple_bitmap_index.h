@@ -2,6 +2,7 @@
 #define MDW_BITMAP_SIMPLE_BITMAP_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bitmap/bitvector.h"
@@ -19,7 +20,7 @@ class SimpleBitmapIndex {
   /// Builds the index from the fact table's foreign-key column for this
   /// dimension; `fk_column[r]` is the *leaf* value row r refers to.
   SimpleBitmapIndex(const Hierarchy& hierarchy,
-                    const std::vector<std::int64_t>& fk_column);
+                    std::span<const LeafKey> fk_column);
 
   /// The bitmap of value `value` at depth `depth`.
   const BitVector& Bitmap(Depth depth, std::int64_t value) const;

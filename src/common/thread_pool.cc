@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -64,6 +66,14 @@ int ThreadPool::ResolveWorkers(int num_workers) {
   MDW_CHECK(num_workers >= 0,
             "num_workers must be 0 (hardware) or a positive degree");
   if (num_workers > 0) return num_workers;
+  // The CPUs this thread may run on: an affinity mask (taskset, a
+  // cpuset) can grant far fewer than the machine has.
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (::sched_getaffinity(0, sizeof mask, &mask) == 0) {
+    const int allowed = CPU_COUNT(&mask);
+    if (allowed > 0) return allowed;
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -37,8 +37,10 @@ class ThreadPool {
   int size() const { return static_cast<int>(workers_.size()); }
 
   /// Maps a WarehouseConfig-style degree to an actual worker count:
-  /// 0 means "use the hardware" (std::thread::hardware_concurrency,
-  /// at least 1); any positive value is taken as-is.
+  /// 0 means "use the hardware" — the CPUs in the calling thread's
+  /// affinity mask (sched_getaffinity), or std::thread::hardware_concurrency
+  /// where the mask cannot be read; at least 1. Any positive value is
+  /// taken as-is.
   static int ResolveWorkers(int num_workers);
 
   /// Runs fn(i) for every i in [0, n) exactly once, distributing indices

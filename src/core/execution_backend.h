@@ -215,7 +215,8 @@ class ExecutionBackend {
 /// identical for any worker count.
 class MaterializedBackend : public ExecutionBackend {
  public:
-  /// `num_workers`: 0 = hardware_concurrency, 1 = serial, n = n workers.
+  /// `num_workers`: 0 = one per CPU in the affinity mask
+  /// (ThreadPool::ResolveWorkers), 1 = serial, n = n workers.
   MaterializedBackend(std::shared_ptr<const MiniWarehouse> warehouse,
                       std::shared_ptr<const Fragmentation> fragmentation,
                       int num_workers = 1);

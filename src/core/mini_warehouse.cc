@@ -68,12 +68,29 @@ void FoldIo(const storage::SegmentStore::IoCounters& io,
   partial->checksum_failures += io.checksum_failures;
 }
 
+/// Exact division of a leaf key by a fixed group width d in
+/// [1, kMaxLeafCardinality] through one multiply instead of a divide: for
+/// n < 2^16, n / d == (n * m) >> 32 with m = floor(2^32 / d) + 1, because
+/// the rounding error n * (m - 2^32 / d) / 2^32 stays below 1 / d whenever
+/// n * d < 2^32.
+class KeyDivider {
+ public:
+  explicit KeyDivider(std::int64_t d)
+      : m_((std::uint64_t{1} << 32) / static_cast<std::uint64_t>(d) + 1) {}
+  std::int64_t operator()(LeafKey n) const {
+    return static_cast<std::int64_t>((std::uint64_t{n} * m_) >> 32);
+  }
+
+ private:
+  std::uint64_t m_;
+};
+
 /// The blocks one scan chunk currently reads, positioned at the first row
 /// visited in them: values of rows [row, end) sit at u/d/k[row' - row].
 struct ScanBlocks {
-  const std::int64_t* u = nullptr;
-  const std::int64_t* d = nullptr;
-  const std::int64_t* k = nullptr;
+  const std::int32_t* u = nullptr;
+  const std::int32_t* d = nullptr;
+  const LeafKey* k = nullptr;
   std::int64_t end = 0;
 };
 
@@ -82,18 +99,18 @@ struct ScanBlocks {
 /// dimension columns share one page geometry per shard, so one end
 /// serves all of them.
 template <bool kGrouped>
-ScanBlocks FetchBlocks(storage::ColumnReader& units,
-                       storage::ColumnReader& dollars,
-                       storage::ColumnReader* keys, std::int64_t row,
+ScanBlocks FetchBlocks(storage::ColumnReader<std::int32_t>& units,
+                       storage::ColumnReader<std::int32_t>& dollars,
+                       storage::ColumnReader<LeafKey>* keys, std::int64_t row,
                        std::int64_t limit) {
-  const storage::ColumnBlock ub = units.Fetch(row);
-  const storage::ColumnBlock db = dollars.Fetch(row);
+  const storage::ColumnBlock<std::int32_t> ub = units.Fetch(row);
+  const storage::ColumnBlock<std::int32_t> db = dollars.Fetch(row);
   ScanBlocks b;
   b.u = ub.data + (row - ub.begin);
   b.d = db.data + (row - db.begin);
   b.end = std::min({ub.end, db.end, limit});
   if constexpr (kGrouped) {
-    const storage::ColumnBlock kb = keys->Fetch(row);
+    const storage::ColumnBlock<LeafKey> kb = keys->Fetch(row);
     b.k = kb.data + (row - kb.begin);
     b.end = std::min(b.end, kb.end);
   }
@@ -107,16 +124,17 @@ struct ScanSums {
   std::int64_t dollars = 0;
 };
 
-/// Tallies the hit at offset `i` of blocks `b`.
+/// Tallies the hit at offset `i` of blocks `b`; the narrow values widen
+/// to int64_t before they add.
 template <bool kGrouped>
-void TallyHit(const ScanBlocks& b, std::int64_t i, std::int64_t leaves_per,
+void TallyHit(const ScanBlocks& b, std::int64_t i, const KeyDivider& group_of,
               MiniWarehouse::GroupAccum* groups, ScanSums& sums) {
   const std::int64_t uv = b.u[i];
   const std::int64_t dv = b.d[i];
   ++sums.rows;
   sums.units += uv;
   sums.dollars += dv;
-  if constexpr (kGrouped) groups->Tally(b.k[i] / leaves_per, uv, dv);
+  if constexpr (kGrouped) groups->Tally(group_of(b.k[i]), uv, dv);
 }
 
 /// Tallies the hits of blocks `b` marked in `words` over bits
@@ -128,7 +146,7 @@ template <bool kGrouped>
                                            std::int64_t first,
                                            std::int64_t stop,
                                            const ScanBlocks& b,
-                                           std::int64_t leaves_per,
+                                           const KeyDivider& group_of,
                                            MiniWarehouse::GroupAccum* groups) {
   ScanSums sums;
   for (std::int64_t w = first / 64; w * 64 < stop; ++w) {
@@ -137,7 +155,7 @@ template <bool kGrouped>
     if (stop - w * 64 < 64) word &= ~(~0ULL << (stop - w * 64));
     while (word != 0) {
       const std::int64_t i = w * 64 + __builtin_ctzll(word);
-      TallyHit<kGrouped>(b, i - first, leaves_per, groups, sums);
+      TallyHit<kGrouped>(b, i - first, group_of, groups, sums);
       word &= word - 1;
     }
   }
@@ -155,8 +173,10 @@ template <bool kGrouped>
 template <bool kGrouped, typename Accesses>
 void ProcessRows(const IndexSet& indexes, std::int64_t begin,
                  std::int64_t end, const Accesses& accesses,
-                 storage::ColumnReader& units, storage::ColumnReader& dollars,
-                 storage::ColumnReader* keys, std::int64_t leaves_per,
+                 storage::ColumnReader<std::int32_t>& units,
+                 storage::ColumnReader<std::int32_t>& dollars,
+                 storage::ColumnReader<LeafKey>* keys,
+                 const KeyDivider& group_of,
                  MiniWarehouse::GroupAccum* groups,
                  MiniWarehouse::MdhfExecution* partial) {
   partial->rows_scanned += end - begin;
@@ -168,7 +188,7 @@ void ProcessRows(const IndexSet& indexes, std::int64_t begin,
       const ScanBlocks b =
           FetchBlocks<kGrouped>(units, dollars, keys, row, end);
       for (std::int64_t i = 0; i < b.end - row; ++i) {
-        TallyHit<kGrouped>(b, i, leaves_per, groups, sums);
+        TallyHit<kGrouped>(b, i, group_of, groups, sums);
       }
       row = b.end;
     }
@@ -195,7 +215,7 @@ void ProcessRows(const IndexSet& indexes, std::int64_t begin,
           FetchBlocks<kGrouped>(units, dollars, keys, begin + first, end);
       const std::int64_t stop = b.end - begin;
       const ScanSums block = TallyMarkedHits<kGrouped>(
-          filter.words(), first, stop, b, leaves_per, groups);
+          filter.words(), first, stop, b, group_of, groups);
       sums.rows += block.rows;
       sums.units += block.units;
       sums.dollars += block.dollars;
@@ -263,16 +283,14 @@ MiniWarehouse::MiniWarehouse(StarSchema schema, std::uint64_t seed,
     summaries_enabled_ = true;
   }
   // The column table, in column-id order.
-  const auto whole = [](const std::vector<std::int64_t>& column) {
-    return storage::ColumnBlock{column.data(), 0,
-                                static_cast<std::int64_t>(column.size())};
-  };
-  for (const auto& column : facts_.columns) resident_.push_back(whole(column));
-  resident_.push_back(whole(units_sold_));
-  resident_.push_back(whole(dollar_sales_cents_));
+  for (const auto& column : facts_.columns) {
+    resident_.push_back(storage::ColumnSource::Of(column));
+  }
+  resident_.push_back(storage::ColumnSource::Of(units_sold_));
+  resident_.push_back(storage::ColumnSource::Of(dollar_sales_cents_));
   if (summaries_enabled_) {
-    resident_.push_back(whole(units_prefix_));
-    resident_.push_back(whole(dollars_prefix_));
+    resident_.push_back(storage::ColumnSource::Of(units_prefix_));
+    resident_.push_back(storage::ColumnSource::Of(dollars_prefix_));
   }
   if (!storage.path.empty()) BuildPagedStore(seed, storage);
 }
@@ -282,15 +300,6 @@ const FactColumns& MiniWarehouse::facts() const {
             "fact columns are file-backed (dropped from RAM); read them "
             "through the execution paths instead");
   return facts_;
-}
-
-storage::ColumnReader MiniWarehouse::OpenColumn(
-    int column, storage::SegmentStore::IoCounters* io,
-    const CancellationToken& cancel) const {
-  if (store_ != nullptr) {
-    return storage::ColumnReader(store_->MakeCursor(column, io, cancel));
-  }
-  return storage::ColumnReader(resident_[static_cast<std::size_t>(column)]);
 }
 
 void MiniWarehouse::BuildPagedStore(std::uint64_t seed,
@@ -337,7 +346,7 @@ void MiniWarehouse::BuildPagedStore(std::uint64_t seed,
           {f, frag_offsets_[rank] - base, frag_offsets_[rank + 1] - base});
     }
   }
-  for (const auto& column : resident_) in.columns.push_back(column.data);
+  in.columns = resident_;
   store_ = std::make_unique<storage::SegmentStore>(options, in);
 
   // Drop the in-RAM copies — the segments are the backing truth now. The
@@ -359,6 +368,12 @@ void MiniWarehouse::Populate(std::uint64_t seed) {
   MDW_CHECK(max_rows <= 50'000'000,
             "schema too large to materialise; use the simulator instead");
   const int dims = schema_.num_dimensions();
+  for (DimId d = 0; d < dims; ++d) {
+    MDW_CHECK(schema_.dimension(d).hierarchy().LeafCardinality() <=
+                  kMaxLeafCardinality,
+              "leaf cardinality exceeds the 2-byte leaf key; use the "
+              "simulator instead");
+  }
   facts_.columns.assign(static_cast<std::size_t>(dims), {});
 
   // Reserve for the expected Binomial(max_rows, density) row count plus
@@ -387,10 +402,11 @@ void MiniWarehouse::Populate(std::uint64_t seed) {
     if (rng.UniformReal() < schema_.density()) {
       for (DimId d = 0; d < dims; ++d) {
         facts_.columns[static_cast<std::size_t>(d)].push_back(
-            combo[static_cast<std::size_t>(d)]);
+            static_cast<LeafKey>(combo[static_cast<std::size_t>(d)]));
       }
-      units_sold_.push_back(rng.Uniform(1, 100));
-      dollar_sales_cents_.push_back(rng.Uniform(100, 100'000));
+      units_sold_.push_back(static_cast<std::int32_t>(rng.Uniform(1, 100)));
+      dollar_sales_cents_.push_back(
+          static_cast<std::int32_t>(rng.Uniform(100, 100'000)));
     }
     // Advance the odometer.
     for (int d = dims - 1; d >= 0; --d) {
@@ -448,7 +464,7 @@ void MiniWarehouse::ClusterByFragment(std::vector<FragAttr> cluster_attrs,
   }
 
   // Each row's fragment is computed exactly once, here; queries never
-  // re-derive it.
+  // re-derive it. The vector later becomes each row's new position.
   std::vector<std::int64_t> row_rank(static_cast<std::size_t>(rows));
   std::vector<std::int64_t> leaf(static_cast<std::size_t>(dims));
   for (std::int64_t row = 0; row < rows; ++row) {
@@ -473,12 +489,9 @@ void MiniWarehouse::ClusterByFragment(std::vector<FragAttr> cluster_attrs,
   }
   std::vector<std::int64_t> cursor(frag_offsets_.begin(),
                                    frag_offsets_.end() - 1);
-  std::vector<std::int64_t> new_pos(static_cast<std::size_t>(rows));
-  for (std::int64_t row = 0; row < rows; ++row) {
-    new_pos[static_cast<std::size_t>(row)] =
-        cursor[static_cast<std::size_t>(
-            row_rank[static_cast<std::size_t>(row)])]++;
-  }
+  // In place: row r's rank is read once, then replaced by its position.
+  std::vector<std::int64_t>& new_pos = row_rank;
+  for (auto& r : row_rank) r = cursor[static_cast<std::size_t>(r)]++;
 
   // Shard regions: shard s spans the offsets of its rank interval.
   shard_row_begin_.assign(static_cast<std::size_t>(num_shards_) + 1, 0);
@@ -491,8 +504,10 @@ void MiniWarehouse::ClusterByFragment(std::vector<FragAttr> cluster_attrs,
         frag_offsets_[static_cast<std::size_t>(first_rank)];
   }
 
-  const auto permute = [&](std::vector<std::int64_t>& column) {
-    std::vector<std::int64_t> permuted(static_cast<std::size_t>(rows));
+  // Each column is permuted at its own width; only one column's copy is
+  // alive at a time.
+  const auto permute = [&]<typename T>(std::vector<T>& column) {
+    std::vector<T> permuted(static_cast<std::size_t>(rows));
     for (std::int64_t row = 0; row < rows; ++row) {
       permuted[static_cast<std::size_t>(
           new_pos[static_cast<std::size_t>(row)])] =
@@ -554,11 +569,13 @@ MiniWarehouse::AggregateResult MiniWarehouse::FullScan(
     const StarQuery& query, const GroupBy* group_by,
     GroupAccum* groups) const {
   // One reader per dimension the scan reads, plus the measures.
-  std::vector<std::optional<storage::ColumnReader>> dims(
+  std::vector<std::optional<storage::ColumnReader<LeafKey>>> dims(
       static_cast<std::size_t>(schema_.num_dimensions()));
   const auto open = [&](DimId d) {
     auto& reader = dims[static_cast<std::size_t>(d)];
-    if (!reader.has_value()) reader.emplace(OpenColumn(d, nullptr, {}));
+    if (!reader.has_value()) {
+      reader.emplace(OpenColumn<LeafKey>(d, nullptr, {}));
+    }
   };
   for (const auto& pred : query.predicates()) open(pred.dim);
   std::int64_t leaves_per = 1;
@@ -567,11 +584,11 @@ MiniWarehouse::AggregateResult MiniWarehouse::FullScan(
     leaves_per =
         schema_.dimension(group_by->dim).hierarchy().LeavesPer(group_by->depth);
   }
-  const auto leaf = [&](DimId d, std::int64_t row) {
+  const auto leaf = [&](DimId d, std::int64_t row) -> std::int64_t {
     return dims[static_cast<std::size_t>(d)]->At(row);
   };
-  storage::ColumnReader units = OpenColumn(ColUnits(), nullptr, {});
-  storage::ColumnReader dollars = OpenColumn(ColDollars(), nullptr, {});
+  auto units = OpenColumn<std::int32_t>(ColUnits(), nullptr, {});
+  auto dollars = OpenColumn<std::int32_t>(ColDollars(), nullptr, {});
 
   AggregateResult result;
   for (std::int64_t row = 0; row < row_count(); ++row) {
@@ -639,8 +656,8 @@ MiniWarehouse::AggregateResult MiniWarehouse::ExecuteWithBitmaps(
     }
     hits &= pred_rows;
   }
-  storage::ColumnReader units = OpenColumn(ColUnits(), nullptr, {});
-  storage::ColumnReader dollars = OpenColumn(ColDollars(), nullptr, {});
+  auto units = OpenColumn<std::int32_t>(ColUnits(), nullptr, {});
+  auto dollars = OpenColumn<std::int32_t>(ColDollars(), nullptr, {});
   AggregateResult result;
   hits.ForEachSetBit([&](std::int64_t row) {
     ++result.rows;
@@ -779,8 +796,8 @@ void MiniWarehouse::ScanChunk(std::int64_t begin, std::int64_t end,
                               MdhfExecution* partial,
                               GroupAccum* groups) const {
   storage::SegmentStore::IoCounters io;
-  storage::ColumnReader units = OpenColumn(ColUnits(), &io, cancel);
-  storage::ColumnReader dollars = OpenColumn(ColDollars(), &io, cancel);
+  auto units = OpenColumn<std::int32_t>(ColUnits(), &io, cancel);
+  auto dollars = OpenColumn<std::int32_t>(ColDollars(), &io, cancel);
   if (accesses.empty()) {
     // Unfiltered range: every page will be touched, so read ahead in
     // coalesced runs. Filtered scans skip prefetch — they fault only the
@@ -790,14 +807,14 @@ void MiniWarehouse::ScanChunk(std::int64_t begin, std::int64_t end,
   }
   if (groups == nullptr) {
     ProcessRows<false>(*indexes_, begin, end, accesses, units, dollars,
-                       nullptr, 1, nullptr, partial);
+                       nullptr, KeyDivider(1), nullptr, partial);
   } else {
     // Grouped scans read the group dimension's leaf column through its
     // own reader (its I/O and status fold into the same partial).
-    storage::ColumnReader keys = OpenColumn(group.dim, &io, cancel);
+    auto keys = OpenColumn<LeafKey>(group.dim, &io, cancel);
     if (accesses.empty()) keys.PrefetchRun(begin, end);
     ProcessRows<true>(*indexes_, begin, end, accesses, units, dollars, &keys,
-                      group.leaves_per, groups, partial);
+                      KeyDivider(group.leaves_per), groups, partial);
     partial->status.Update(keys.status());
   }
   FoldIo(io, partial);

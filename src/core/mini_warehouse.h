@@ -43,9 +43,13 @@ class ThreadPool;
 /// O(selected rows).
 ///
 /// Storage: the columns live in RAM or in per-shard segment files behind
-/// a buffer pool. Every kernel reads them through storage::ColumnReader,
-/// which hands out blocks (the whole column when resident, one pinned
-/// page when paged); OpenColumn() is the one place that picks the source.
+/// a buffer pool, each at its natural width — dimension leaf keys as
+/// LeafKey (2 bytes), the two measures as int32_t, the two prefix-sum
+/// columns as int64_t: 32 bytes per row. Every kernel reads them through
+/// storage::ColumnReader<T>, which hands out blocks (the whole column
+/// when resident, one pinned page when paged) and widens nothing itself:
+/// every sum is int64_t, and each value widens before it adds.
+/// OpenColumn() is the one place that picks the source.
 ///
 /// Sharding (the paper's disk allocation made physical): with
 /// `num_shards` > 1 the constructor consults a DiskAllocation
@@ -161,6 +165,10 @@ class MiniWarehouse {
   /// rows through a buffer pool of storage.pool_pages pages — results
   /// stay bit-identical to the in-RAM store; MdhfExecution additionally
   /// reports pages_read / buffer_hits / bytes_read.
+  ///
+  /// Aborts (MDW_CHECK) on a schema too large to materialise: more than
+  /// 50M possible rows, or a dimension with more than
+  /// kMaxLeafCardinality leaves (its keys would not fit a LeafKey).
   MiniWarehouse(StarSchema schema, std::uint64_t seed,
                 std::vector<FragAttr> cluster_attrs,
                 bool enable_summaries = true, int num_shards = 1,
@@ -402,12 +410,20 @@ class MiniWarehouse {
   int ColDollars() const { return ColUnits() + 1; }
   int ColUnitsPrefix() const { return ColUnits() + 2; }
   int ColDollarsPrefix() const { return ColUnits() + 3; }
-  /// A block reader over `column`: its resident block, or a buffer-pool
-  /// cursor attributing its I/O into `io` and capping pin retries by
-  /// `cancel` in file-backed mode. The only place that picks the source.
-  storage::ColumnReader OpenColumn(int column,
-                                   storage::SegmentStore::IoCounters* io,
-                                   const CancellationToken& cancel) const;
+  /// A block reader over `column`, read as T (its stored width): its
+  /// resident block, or a buffer-pool cursor attributing its I/O into
+  /// `io` and capping pin retries by `cancel` in file-backed mode. The
+  /// only place that picks the source.
+  template <typename T>
+  storage::ColumnReader<T> OpenColumn(int column,
+                                      storage::SegmentStore::IoCounters* io,
+                                      const CancellationToken& cancel) const {
+    if (store_ != nullptr) {
+      return storage::ColumnReader<T>(store_->MakeCursor(column, io, cancel));
+    }
+    return storage::ColumnReader<T>(
+        resident_[static_cast<std::size_t>(column)].Block<T>());
+  }
   /// The reference full scan behind ExecuteFullScan{,Grouped}: matches
   /// each row against the predicates through the hierarchies and, with
   /// `groups` non-null, tallies it under its `group_by` key.
@@ -452,14 +468,15 @@ class MiniWarehouse {
   /// record). Built in place: the readers point at `io`.
   struct SummaryColumns {
     SummaryColumns(const MiniWarehouse& wh, const CancellationToken& cancel)
-        : units(wh.OpenColumn(wh.ColUnitsPrefix(), &io, cancel)),
-          dollars(wh.OpenColumn(wh.ColDollarsPrefix(), &io, cancel)) {}
+        : units(wh.OpenColumn<std::int64_t>(wh.ColUnitsPrefix(), &io, cancel)),
+          dollars(wh.OpenColumn<std::int64_t>(wh.ColDollarsPrefix(), &io,
+                                              cancel)) {}
     SummaryColumns(const SummaryColumns&) = delete;
     SummaryColumns& operator=(const SummaryColumns&) = delete;
 
     storage::SegmentStore::IoCounters io;
-    storage::ColumnReader units;
-    storage::ColumnReader dollars;
+    storage::ColumnReader<std::int64_t> units;
+    storage::ColumnReader<std::int64_t> dollars;
   };
   /// Folds a summary run [begin, end) into exec from the prefix sums:
   /// two values per measure, read through `sums`, whose readers then
@@ -474,14 +491,14 @@ class MiniWarehouse {
   StarSchema schema_;
   std::int64_t row_count_ = 0;
   /// In-RAM columns; emptied (but the store stays authoritative through
-  /// store_) in file-backed mode.
+  /// store_) in file-backed mode. Measures are int32_t: units_sold lies in
+  /// [1, 100] and dollar_sales_cents in [100, 100000].
   FactColumns facts_;
-  std::vector<std::int64_t> units_sold_;
-  std::vector<std::int64_t> dollar_sales_cents_;
+  std::vector<std::int32_t> units_sold_;
+  std::vector<std::int32_t> dollar_sales_cents_;
   std::unique_ptr<IndexSet> indexes_;
-  /// Every column as one resident block, by column id; empty once
-  /// file-backed.
-  std::vector<storage::ColumnBlock> resident_;
+  /// Every column, by column id; empty once file-backed.
+  std::vector<storage::ColumnSource> resident_;
   /// File-backed mode: the page-aligned segment files and their buffer
   /// pool; nullptr for the in-RAM store.
   std::unique_ptr<storage::SegmentStore> store_;

@@ -46,9 +46,9 @@ struct WarehouseConfig {
 
   /// Parallel degree of the materialized backend (the paper's partition
   /// parallelism): fragment row ranges of one query — and the queries of a
-  /// batch — are processed as concurrent tasks. 0 = use the hardware
-  /// (std::thread::hardware_concurrency), 1 = serial fallback, n = n
-  /// workers. Results are bit-identical for any value. Ignored by the
+  /// batch — are processed as concurrent tasks. 0 = one per CPU the
+  /// process may run on (ThreadPool::ResolveWorkers: the affinity mask),
+  /// 1 = serial fallback, n = n workers. Results are bit-identical for any value. Ignored by the
   /// simulated backend (it models its own parallelism via SimConfig).
   int num_workers = 0;
 

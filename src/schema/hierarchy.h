@@ -15,6 +15,14 @@ namespace mdw {
 /// *smaller* depth here.
 using Depth = int;
 
+/// A fact row's reference to one dimension leaf, as the clustered store
+/// holds it: two bytes per row instead of eight. A schema whose leaf
+/// cardinality exceeds kMaxLeafCardinality cannot be materialised (the
+/// MiniWarehouse constructor refuses it); the full-scale configurations
+/// are only ever simulated.
+using LeafKey = std::uint16_t;
+inline constexpr std::int64_t kMaxLeafCardinality = std::int64_t{1} << 16;
+
 /// One level of a dimension hierarchy.
 struct HierarchyLevel {
   std::string name;           ///< e.g. "group"

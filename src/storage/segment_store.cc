@@ -16,7 +16,7 @@
 
 namespace mdw::storage {
 
-// Raw int64 values are written in native byte order and the header
+// Raw column values are written in native byte order and the header
 // declares little-endian; refuse to build elsewhere rather than byte-swap.
 static_assert(std::endian::native == std::endian::little,
               "segment files assume a little-endian host");
@@ -24,14 +24,17 @@ static_assert(std::endian::native == std::endian::little,
 namespace {
 
 constexpr char kMagic[8] = {'M', 'D', 'W', 'S', 'E', 'G', '1', '\0'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kEndianTag = 0x01020304u;
 constexpr std::uint32_t kFlagHasSummaries = 1u << 0;
 
 /// Fixed-size prefix of the header, before the column and fragment
-/// directories. v2 extends the v1 prefix (96 bytes) with the checksum
-/// block and data page counts.
+/// directories. v2 extended the v1 prefix (96 bytes) with the checksum
+/// block and data page counts; v3 keeps it.
 constexpr std::int64_t kFixedHeaderBytes = 112;
+/// One column-directory entry: first page, value count and (since v3)
+/// the value width in bytes.
+constexpr std::int64_t kColumnEntryBytes = 24;
 
 /// Offsets inside the fixed prefix used by version detection.
 constexpr std::int64_t kVersionOffset = 8;   ///< after the magic
@@ -120,7 +123,7 @@ ShardGeometry GeometryOf(const SegmentStore::BuildInput& input, int s) {
   const int cols = ColumnCount(input);
   const auto& frags = input.shard_fragments[static_cast<std::size_t>(s)];
   const std::int64_t raw_bytes =
-      kFixedHeaderBytes + 16 * cols +
+      kFixedHeaderBytes + kColumnEntryBytes * cols +
       24 * static_cast<std::int64_t>(frags.size());
   ShardGeometry g;
   g.header_pages = CeilDiv(raw_bytes, input.page_size);
@@ -132,6 +135,28 @@ ShardGeometry GeometryOf(const SegmentStore::BuildInput& input, int s) {
       g.data_pages * static_cast<std::int64_t>(sizeof(std::uint32_t)),
       input.page_size);
   return g;
+}
+
+/// Builds each data page image of column `c` in shard `s` into `*page`
+/// in turn — `tuples_per_page` values at the column's width, the tail
+/// zero-padded — and calls `emit` after each.
+template <typename Emit>
+void ForEachPageImage(const SegmentStore::BuildInput& input, int s, int c,
+                      std::vector<std::byte>* page, Emit emit) {
+  const ColumnSource& column = input.columns[static_cast<std::size_t>(c)];
+  const auto width = static_cast<std::int64_t>(column.width);
+  // Prefix columns index the same global positions as row columns, so
+  // every column of this shard starts at the shard's first global row.
+  const auto* src = static_cast<const std::byte*>(column.data) +
+                    input.shard_row_begin[static_cast<std::size_t>(s)] * width;
+  for (std::int64_t remaining = ValueCount(input, s, c); remaining > 0;) {
+    const std::int64_t n = std::min(remaining, input.tuples_per_page);
+    std::memset(page->data(), 0, page->size());
+    std::memcpy(page->data(), src, static_cast<std::size_t>(n * width));
+    emit();
+    src += n * width;
+    remaining -= n;
+  }
 }
 
 }  // namespace
@@ -170,6 +195,7 @@ std::vector<std::byte> SegmentStore::BuildHeader(const BuildInput& input,
     const std::int64_t values = ValueCount(input, s, c);
     AppendI64(&h, next_page);
     AppendI64(&h, values);
+    AppendI64(&h, input.columns[static_cast<std::size_t>(c)].width);
     next_page += CeilDiv(values, input.tuples_per_page);
   }
   for (const FragEntry& f : frags) {
@@ -242,8 +268,6 @@ void SegmentStore::WriteSegment(const BuildInput& input, int s,
                                 const std::vector<std::byte>& header,
                                 const std::string& path) {
   const ShardGeometry g = GeometryOf(input, s);
-  const std::int64_t begin =
-      input.shard_row_begin[static_cast<std::size_t>(s)];
   const int cols = ColumnCount(input);
   std::vector<std::byte> page(static_cast<std::size_t>(page_size_));
 
@@ -253,19 +277,9 @@ void SegmentStore::WriteSegment(const BuildInput& input, int s,
   std::vector<std::uint32_t> crcs;
   crcs.reserve(static_cast<std::size_t>(g.data_pages));
   for (int c = 0; c < cols; ++c) {
-    // Prefix columns index the same global positions as row columns, so
-    // every column of this shard starts at global offset `begin`.
-    const std::int64_t* src =
-        input.columns[static_cast<std::size_t>(c)] + begin;
-    std::int64_t remaining = ValueCount(input, s, c);
-    while (remaining > 0) {
-      const std::int64_t n = std::min(remaining, tuples_per_page_);
-      std::memset(page.data(), 0, page.size());
-      std::memcpy(page.data(), src, static_cast<std::size_t>(n) * 8);
+    ForEachPageImage(input, s, c, &page, [&] {
       crcs.push_back(Crc32c(page.data(), page.size()));
-      src += n;
-      remaining -= n;
-    }
+    });
   }
   MDW_CHECK(static_cast<std::int64_t>(crcs.size()) == g.data_pages,
             "checksum count drifted from the data page count");
@@ -287,17 +301,9 @@ void SegmentStore::WriteSegment(const BuildInput& input, int s,
 
   // Pass 2: the data pages themselves, same image construction.
   for (int c = 0; c < cols; ++c) {
-    const std::int64_t* src =
-        input.columns[static_cast<std::size_t>(c)] + begin;
-    std::int64_t remaining = ValueCount(input, s, c);
-    while (remaining > 0) {
-      const std::int64_t n = std::min(remaining, tuples_per_page_);
-      std::memset(page.data(), 0, page.size());
-      std::memcpy(page.data(), src, static_cast<std::size_t>(n) * 8);
+    ForEachPageImage(input, s, c, &page, [&] {
       WriteAll(fd, page.data(), page_size_, "cannot write segment page");
-      src += n;
-      remaining -= n;
-    }
+    });
   }
 
   // Crash durability: the bytes reach stable storage before the rename
@@ -345,15 +351,20 @@ SegmentStore::SegmentStore(const StoreOptions& options,
       root_(options.path),
       shard_row_begin_(input.shard_row_begin) {
   MDW_CHECK(!root_.empty(), "segment store needs a path");
-  MDW_CHECK(page_size_ >= 8 && tuples_per_page_ >= 1 &&
-                tuples_per_page_ * 8 <= page_size_,
-            "page geometry cannot hold its tuples");
   MDW_CHECK(shard_row_begin_.size() >= 2, "store needs at least one shard");
   const int num_shards = static_cast<int>(shard_row_begin_.size()) - 1;
   MDW_CHECK(static_cast<int>(input.shard_fragments.size()) == num_shards,
             "fragment directory does not cover every shard");
   MDW_CHECK(static_cast<int>(input.columns.size()) == num_columns_,
             "column list does not match the declared layout");
+  for (const ColumnSource& column : input.columns) {
+    MDW_CHECK(column.width == 2 || column.width == 4 || column.width == 8,
+              "column width must be 2, 4 or 8 bytes");
+    MDW_CHECK(tuples_per_page_ >= 1 &&
+                  tuples_per_page_ * column.width <= page_size_,
+              "page geometry cannot hold its tuples");
+    col_width_.push_back(column.width);
+  }
 
   if (options.fault_plan.enabled()) {
     injector_ = std::make_unique<FaultInjector>(options.fault_plan);
@@ -446,10 +457,15 @@ int SegmentStore::ShardOf(std::int64_t i) const {
   return std::min(idx, num_shards() - 1);
 }
 
-ColumnBlock SegmentStore::Cursor::Fault(std::int64_t i) {
-  // Stand-in block of a failed cursor: one zero at the requested index.
+void SegmentStore::Cursor::Fault(std::int64_t i) {
+  // Stand-in block of a failed cursor: one zero (of any width) at `i`.
   static constexpr std::int64_t kZero = 0;
-  if (!status_.ok()) return {&kZero, i, i + 1};
+  const auto zero_block = [&] {
+    span_ = &kZero;
+    span_begin_ = i;
+    span_end_ = i + 1;
+  };
+  if (!status_.ok()) return zero_block();
   const SegmentStore& st = *store_;
   const int s = st.ShardOf(i);
   const ShardDir& dir = st.dirs_[static_cast<std::size_t>(s)];
@@ -477,10 +493,8 @@ ColumnBlock SegmentStore::Cursor::Fault(std::int64_t i) {
     // touching the pool, and the caller discards the aggregate via
     // status().
     status_ = ref.status();
-    span_ = nullptr;
-    span_begin_ = span_end_ = 0;
     page_.reset();
-    return {&kZero, i, i + 1};
+    return zero_block();
   }
   if (io_ != nullptr) {
     if (ref->hit()) {
@@ -490,13 +504,12 @@ ColumnBlock SegmentStore::Cursor::Fault(std::int64_t i) {
       io_->bytes_read += st.page_size_;
     }
   }
-  span_ = reinterpret_cast<const std::int64_t*>(ref->data());
+  span_ = ref->data();
   span_begin_ = begin + page_in_col * st.tuples_per_page_;
   span_end_ =
       begin + std::min(page_in_col * st.tuples_per_page_ + st.tuples_per_page_,
                        values);
   page_ = std::make_unique<BufferPool::PageRef>(std::move(ref).value());
-  return {span_, span_begin_, span_end_};
 }
 
 void SegmentStore::Cursor::PrefetchRun(std::int64_t begin, std::int64_t end) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/check.h"
 #include "common/status.h"
 #include "storage/buffer_pool.h"
 #include "storage/io_fault.h"
@@ -58,13 +59,36 @@ struct Fnv1a {
   void U64(std::uint64_t v) { Bytes(&v, sizeof v); }
 };
 
-/// A contiguous run of one column's values: global rows [begin, end),
-/// row r at data[r - begin]. Column readers hand these out so kernels
-/// keep the block in locals and refetch only past its end.
+/// A contiguous run of one column's values of type T: global rows
+/// [begin, end), row r at data[r - begin]. Column readers hand these out
+/// so kernels keep the block in locals and refetch only past its end.
+template <typename T>
 struct ColumnBlock {
-  const std::int64_t* data = nullptr;
+  const T* data = nullptr;
   std::int64_t begin = 0;
   std::int64_t end = 0;
+};
+
+/// One in-memory column as the segment writer and the resident readers
+/// see it: `size` values of `width` bytes each (2, 4 or 8), starting at
+/// global row 0.
+struct ColumnSource {
+  const void* data = nullptr;
+  int width = 0;
+  std::int64_t size = 0;
+
+  template <typename T>
+  static ColumnSource Of(const std::vector<T>& values) {
+    return {values.data(), static_cast<int>(sizeof(T)),
+            static_cast<std::int64_t>(values.size())};
+  }
+  /// The whole column as one block of T; T must have the column's width.
+  template <typename T>
+  ColumnBlock<T> Block() const {
+    MDW_CHECK(width == static_cast<int>(sizeof(T)),
+              "column read at a width other than its own");
+    return {static_cast<const T*>(data), 0, size};
+  }
 };
 
 /// The page-aligned on-disk form of one clustered, sharded warehouse:
@@ -76,13 +100,17 @@ struct ColumnBlock {
 /// geometry PagedLayout and the paper's I/O-class math count, so page
 /// boundaries line up with the logical page model).
 ///
-/// Format v2 (current): pages are [header | checksums | data]. Every
-/// data page's CRC-32C (computed over the full page image, zero padding
-/// included) is stored in the checksum block and verified by the buffer
-/// pool each time the page is faulted in, so at-rest or in-flight
-/// corruption surfaces as a typed kCorruption error instead of silently
-/// wrong aggregates. v1 files (no checksum block) fail validation with
-/// a "stale format version" message and are transparently rewritten.
+/// Format v3 (current): pages are [header | checksums | data], and each
+/// column-directory entry records the column's value width, so a column
+/// is stored at its natural width — 2-byte leaf keys, 4-byte measures,
+/// 8-byte prefix sums — with the page's tail zero-padded. Every data
+/// page's CRC-32C (computed over the full page image, padding included)
+/// is stored in the checksum block and verified by the buffer pool each
+/// time the page is faulted in, so at-rest or in-flight corruption
+/// surfaces as a typed kCorruption error instead of silently wrong
+/// aggregates. Files of an older version (v1: no checksum block, v2: all
+/// columns 8 bytes wide) fail validation with a "stale format version"
+/// message and are transparently rewritten.
 ///
 /// Column order: the `num_dims` dimension leaf columns, units_sold,
 /// dollar_sales_cents, then — when summaries are enabled — the two
@@ -108,7 +136,7 @@ class SegmentStore {
   };
 
   /// Everything the writer needs from the clustered warehouse. Column
-  /// pointers address the *global* clustered vectors; the store slices
+  /// sources address the *global* clustered vectors; the store slices
   /// each shard's region itself.
   struct BuildInput {
     std::int64_t page_size;
@@ -120,10 +148,10 @@ class SegmentStore {
     std::vector<std::int64_t> shard_row_begin;
     /// Per shard, its fragments' local row ranges, ascending.
     std::vector<std::vector<FragEntry>> shard_fragments;
-    /// Global columns' values in on-disk order: dims..., units, dollars,
-    /// then (iff has_summaries) units_prefix, dollars_prefix. The prefix
+    /// Global columns in on-disk order: dims..., units, dollars, then
+    /// (iff has_summaries) units_prefix, dollars_prefix. The prefix
     /// columns hold total_rows + 1 values.
-    std::vector<const std::int64_t*> columns;
+    std::vector<ColumnSource> columns;
   };
 
   SegmentStore(const StoreOptions& options, const BuildInput& input);
@@ -151,6 +179,10 @@ class SegmentStore {
   int num_shards() const { return static_cast<int>(files_.size()); }
   std::int64_t row_count() const { return shard_row_begin_.back(); }
   int num_columns() const { return num_columns_; }
+  /// Bytes per value of column `c`, as recorded in the segment header.
+  int column_width(int c) const {
+    return col_width_[static_cast<std::size_t>(c)];
+  }
   bool has_summaries() const { return has_summaries_; }
 
   /// Path of shard `s`'s segment file (for tests and tooling).
@@ -182,9 +214,11 @@ class SegmentStore {
   /// A read cursor over one column (by on-disk column index), addressed
   /// by global clustered row index; its blocks are pinned pages, and it
   /// keeps the current one pinned so sequential access costs one pool
-  /// pin per page. Cheap to construct (per scan chunk); NOT thread-safe
-  /// — use one cursor per thread, and a non-null `io` must not be shared
-  /// across concurrently-used cursors.
+  /// pin per page. The cursor itself is untyped: Fetch<T> views the page
+  /// as values of T, which must have the column's width (ColumnReader<T>
+  /// checks that once, at construction). Cheap to construct (per scan
+  /// chunk); NOT thread-safe — use one cursor per thread, and a non-null
+  /// `io` must not be shared across concurrently-used cursors.
   ///
   /// Failure semantics: when a pin fails (after the pool's retries) the
   /// cursor latches the error in status() and every subsequent Fetch()
@@ -200,15 +234,17 @@ class SegmentStore {
         : store_(store), column_(column), io_(io),
           cancel_(std::move(cancel)) {}
 
+    /// Bytes per value of this cursor's column.
+    int width() const { return store_->column_width(column_); }
+
     /// The page-sized block holding global index `i`, clipped to its
     /// shard. For prefix columns `i` ranges over [0, row_count()]; for
     /// all others [0, row_count()). The block stays valid until the next
     /// Fetch() outside it.
-    ColumnBlock Fetch(std::int64_t i) {
-      if (i >= span_begin_ && i < span_end_) {
-        return {span_, span_begin_, span_end_};
-      }
-      return Fault(i);
+    template <typename T>
+    ColumnBlock<T> Fetch(std::int64_t i) {
+      if (i < span_begin_ || i >= span_end_) Fault(i);
+      return {static_cast<const T*>(span_), span_begin_, span_end_};
     }
 
     /// Best-effort read-ahead of the pages backing global rows
@@ -230,7 +266,9 @@ class SegmentStore {
     }
 
    private:
-    ColumnBlock Fault(std::int64_t i);
+    /// Points the span at the page holding `i` (or, once failed, at a
+    /// one-value zero block at `i`).
+    void Fault(std::int64_t i);
 
     const SegmentStore* store_;
     int column_;
@@ -241,7 +279,7 @@ class SegmentStore {
     /// empty initially.
     std::int64_t span_begin_ = 0;
     std::int64_t span_end_ = 0;
-    const std::int64_t* span_ = nullptr;
+    const void* span_ = nullptr;
     std::unique_ptr<BufferPool::PageRef> page_;
   };
 
@@ -287,6 +325,7 @@ class SegmentStore {
   std::int64_t page_size_;
   std::int64_t tuples_per_page_;
   int num_columns_;
+  std::vector<int> col_width_;  ///< bytes per value, by column
   bool has_summaries_;
   bool prefetch_;
   std::string root_;

@@ -12,22 +12,20 @@ namespace mdw {
 namespace {
 
 // A small column of foreign keys into a hierarchy, for direct index tests.
-std::vector<std::int64_t> RandomColumn(std::int64_t rows,
-                                       std::int64_t leaf_card,
-                                       std::uint64_t seed) {
+std::vector<LeafKey> RandomColumn(std::int64_t rows, std::int64_t leaf_card,
+                                  std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::int64_t> column;
+  std::vector<LeafKey> column;
   column.reserve(static_cast<std::size_t>(rows));
   for (std::int64_t i = 0; i < rows; ++i) {
-    column.push_back(rng.Uniform(0, leaf_card - 1));
+    column.push_back(static_cast<LeafKey>(rng.Uniform(0, leaf_card - 1)));
   }
   return column;
 }
 
 // Brute-force reference: rows whose key's ancestor at `depth` equals value.
-BitVector Reference(const Hierarchy& h,
-                    const std::vector<std::int64_t>& column, Depth depth,
-                    std::int64_t value) {
+BitVector Reference(const Hierarchy& h, const std::vector<LeafKey>& column,
+                    Depth depth, std::int64_t value) {
   BitVector expected(static_cast<std::int64_t>(column.size()));
   for (std::size_t r = 0; r < column.size(); ++r) {
     if (h.AncestorOfLeaf(column[r], depth) == value) {
@@ -83,7 +81,7 @@ class EncodedIndexTest : public ::testing::Test {
         index_(product_, column_) {}
 
   Hierarchy product_;
-  std::vector<std::int64_t> column_;
+  std::vector<LeafKey> column_;
   EncodedBitmapIndex index_;
 };
 
@@ -163,8 +161,9 @@ TEST(IndexSetTest, TinySchemaHasAllIndices) {
   Rng rng(6);
   for (int r = 0; r < 3'000; ++r) {
     for (DimId d = 0; d < 4; ++d) {
-      facts.columns[static_cast<std::size_t>(d)].push_back(rng.Uniform(
-          0, schema.dimension(d).hierarchy().LeafCardinality() - 1));
+      facts.columns[static_cast<std::size_t>(d)].push_back(
+          static_cast<LeafKey>(rng.Uniform(
+              0, schema.dimension(d).hierarchy().LeafCardinality() - 1)));
     }
   }
   const IndexSet set(schema, facts);
@@ -183,8 +182,9 @@ TEST(IndexSetTest, SelectAgreesAcrossIndexKinds) {
   Rng rng(7);
   for (int r = 0; r < 2'000; ++r) {
     for (DimId d = 0; d < 4; ++d) {
-      facts.columns[static_cast<std::size_t>(d)].push_back(rng.Uniform(
-          0, schema.dimension(d).hierarchy().LeafCardinality() - 1));
+      facts.columns[static_cast<std::size_t>(d)].push_back(
+          static_cast<LeafKey>(rng.Uniform(
+              0, schema.dimension(d).hierarchy().LeafCardinality() - 1)));
     }
   }
   const IndexSet set(schema, facts);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -314,8 +315,21 @@ TEST(SegmentFormatTest, HeadersAndGeometryMatchTheSpec) {
     std::uint32_t endian_tag = 0;
     in.read(reinterpret_cast<char*>(&version), 4);
     in.read(reinterpret_cast<char*>(&endian_tag), 4);
-    EXPECT_EQ(version, 2u);
+    EXPECT_EQ(version, 3u);
     EXPECT_EQ(endian_tag, 0x01020304u);
+
+    // v3 column directory: after the 112-byte fixed prefix, one
+    // (first page, value count, width) entry per column. Leaf keys are
+    // 2 bytes, measures 4, prefix sums 8.
+    in.seekg(112);
+    for (int c = 0; c < store.num_columns(); ++c) {
+      std::int64_t entry[3] = {};
+      in.read(reinterpret_cast<char*>(entry), sizeof entry);
+      const int dims = wh.schema().num_dimensions();
+      const std::int64_t want = c < dims ? 2 : c < dims + 2 ? 4 : 8;
+      EXPECT_EQ(entry[2], want) << "column " << c;
+      EXPECT_EQ(store.column_width(c), want) << "column " << c;
+    }
 
     // v2 layout: [header | checksum block | data pages]. The checksum
     // block holds one CRC-32C (4 bytes) per data page, page-padded.
@@ -354,6 +368,107 @@ TEST(SegmentFormatTest, V1SegmentsAreDetectedAsStaleAndRewritten) {
   const MiniWarehouse ram = MakeRam(2);
   EXPECT_EQ(ram.ExecuteFullScan(apb1_queries::OneMonth(5)),
             second.ExecuteFullScan(apb1_queries::OneMonth(5)));
+}
+
+TEST(NarrowColumnTest, V2SegmentsAreDetectedAsStaleAndRewritten) {
+  // A v2 file (every column 8 bytes wide) must not be read as narrow
+  // pages: the version probe names it stale, the store rewrites it, and
+  // the rewritten store answers exactly as the RAM store does.
+  TempDir dir;
+  std::string segment;
+  {
+    const MiniWarehouse first = MakePaged(2, Opts(dir.path()));
+    segment = first.paged_store()->SegmentPath(0);
+  }
+  {
+    std::fstream f(segment, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    const std::uint32_t old_version = 2;
+    f.seekp(8);
+    f.write(reinterpret_cast<const char*>(&old_version), 4);
+  }
+  const MiniWarehouse second = MakePaged(2, Opts(dir.path()));
+  EXPECT_FALSE(second.paged_store()->reused());
+  EXPECT_NE(second.paged_store()->validation_error().find(
+                "format version 2 is stale"),
+            std::string::npos)
+      << second.paged_store()->validation_error();
+  // The rewrite is a valid v3 segment: a third open reuses it.
+  EXPECT_TRUE(MakePaged(2, Opts(dir.path())).paged_store()->reused());
+  const MiniWarehouse ram = MakeRam(2);
+  const QueryPlanner planner(&ram.schema(), &ram.cluster_fragmentation());
+  const QueryPlanner paged_planner(&second.schema(),
+                                   &second.cluster_fragmentation());
+  for (const StarQuery& q : QuerySweep()) {
+    EXPECT_EQ(ram.ExecuteFullScan(q), second.ExecuteFullScan(q)) << q.name();
+    const auto want = ram.ExecuteWithPlan(q, planner.Plan(q));
+    const auto got = second.ExecuteWithPlan(q, paged_planner.Plan(q));
+    ASSERT_TRUE(got.status.ok()) << q.name();
+    EXPECT_EQ(want.result, got.result) << q.name();
+    EXPECT_EQ(want.rows_scanned, got.rows_scanned) << q.name();
+    EXPECT_EQ(want.rows_summarized, got.rows_summarized) << q.name();
+  }
+}
+
+/// One encoded dimension of `leaves` leaves under 16 groups, crossed with
+/// a two-leaf simple dimension, every combination present (density 1).
+StarSchema WideLeafSchema(std::int64_t leaves) {
+  Dimension item("item", Hierarchy({{"group", 16}, {"leaf", leaves}}),
+                 IndexKind::kEncoded);
+  Dimension side("side", Hierarchy({{"side", 2}}), IndexKind::kSimple);
+  return StarSchema("sales", {std::move(item), std::move(side)}, 1.0);
+}
+
+TEST(NarrowColumnDeathTest, LeafCardinalityAboveTheKeyWidthIsRejected) {
+  // 65,537 leaves cannot be keyed in two bytes; construction refuses the
+  // schema instead of truncating keys.
+  Dimension odd("odd", Hierarchy({{"leaf", 65'537}}), IndexKind::kEncoded);
+  EXPECT_DEATH(MiniWarehouse(StarSchema("sales", {std::move(odd)}, 0.001),
+                             1, {}),
+               "leaf cardinality exceeds");
+}
+
+TEST(NarrowColumnTest, LargestLeafKeyRoundTripsThroughEveryReader) {
+  // Exactly 65,536 leaves: key 65535 is the largest a LeafKey holds. It
+  // must come back unchanged from the RAM column, the paged column (a
+  // grouped residual scan reads the key through the buffer pool), and
+  // the grouped reference scan over either store.
+  constexpr std::int64_t kLeaves = 65'536;
+  TempDir dir;
+  const std::vector<FragAttr> attrs = {{0, 0}};  // item::group
+  const MiniWarehouse ram(WideLeafSchema(kLeaves), 7, attrs);
+  const MiniWarehouse paged(WideLeafSchema(kLeaves), 7, attrs,
+                            /*enable_summaries=*/true, /*num_shards=*/2, {},
+                            Opts(dir.path(), /*pool_pages=*/64));
+  ASSERT_EQ(ram.row_count(), 2 * kLeaves);
+  const auto& keys = ram.facts().columns[0];
+  EXPECT_EQ(*std::max_element(keys.begin(), keys.end()), kLeaves - 1);
+
+  const StarQuery last("LAST_LEAF", {{0, 1, {kLeaves - 1}}});
+  const MiniWarehouse::AggregateResult want = ram.ExecuteFullScan(last);
+  EXPECT_EQ(want.rows, 2);
+  EXPECT_EQ(paged.ExecuteFullScan(last), want);
+
+  // GROUP BY item::leaf inside the last group: below the clustering
+  // level, so every row is scanned and keyed through the column reader.
+  const StarQuery grouped =
+      StarQuery("LAST_GROUP_BY_LEAF", {{0, 0, {15}}}).WithGroupBy({0, 1});
+  const std::vector<GroupRow> reference = ram.ExecuteFullScanGrouped(grouped);
+  ASSERT_EQ(reference.size(), static_cast<std::size_t>(kLeaves / 16));
+  EXPECT_EQ(reference.back().key, kLeaves - 1);
+  EXPECT_EQ(reference.back().rows, 2);
+  EXPECT_EQ(paged.ExecuteFullScanGrouped(grouped), reference);
+  for (const MiniWarehouse* wh : {&ram, &paged}) {
+    const QueryPlanner planner(&wh->schema(), &wh->cluster_fragmentation());
+    for (const StarQuery& q : {last, grouped}) {
+      const auto exec = wh->ExecuteWithPlan(q, planner.Plan(q));
+      ASSERT_TRUE(exec.status.ok()) << q.name();
+      EXPECT_EQ(exec.result.rows, q.grouped() ? 2 * kLeaves / 16 : 2);
+      if (q.grouped()) {
+        EXPECT_EQ(exec.groups, reference);
+      }
+    }
+  }
 }
 
 TEST(SegmentFormatTest, OnDiskDataCorruptionIsCaughtByPageChecksums) {

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <cstdint>
@@ -14,6 +15,25 @@ TEST(ThreadPoolTest, ResolveWorkersZeroMeansHardware) {
   EXPECT_GE(ThreadPool::ResolveWorkers(0), 1);
   EXPECT_EQ(ThreadPool::ResolveWorkers(1), 1);
   EXPECT_EQ(ThreadPool::ResolveWorkers(7), 7);
+}
+
+TEST(ThreadPoolTest, ResolveWorkersZeroCountsTheAffinityMask) {
+  // Zero means the CPUs this thread may run on, not the machine's: pin
+  // the test thread to one of its CPUs, resolve, then restore the mask.
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof original, &original), 0);
+  EXPECT_EQ(ThreadPool::ResolveWorkers(0), CPU_COUNT(&original));
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &original)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+  const int pinned = ThreadPool::ResolveWorkers(0);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof original, &original), 0);
+  EXPECT_EQ(pinned, 1);
+  EXPECT_EQ(ThreadPool::ResolveWorkers(0), CPU_COUNT(&original));
 }
 
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexExactlyOnce) {
